@@ -47,7 +47,6 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.api import Session
-from repro.core.design_space import DEFAULT_BATCH
 from repro.core.specs import adder_spec, alu_spec, comparator_spec, counter_spec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -85,13 +84,12 @@ def _note_combinations(session: Session) -> None:
 
 
 def _synth(spec, perf_filter: str, max_combinations=None, order=None,
-           jobs: int = 1, parallel_backend: str = "thread", batch=None):
+           jobs: int = 1, parallel_backend: str = "thread"):
     """One workload: a fresh session (shared process-wide caches stay
     warm, per-session design space starts cold), one request."""
     session = Session(library="lsi_logic", perf_filter=perf_filter,
                       max_combinations=max_combinations, order=order,
-                      jobs=jobs, parallel_backend=parallel_backend,
-                      batch=batch)
+                      jobs=jobs, parallel_backend=parallel_backend)
     job = session.synthesize(spec)
     _note_combinations(session)
     return job
@@ -99,22 +97,19 @@ def _synth(spec, perf_filter: str, max_combinations=None, order=None,
 
 def _workloads(quick: bool, jobs: int = 1,
                parallel_backend: str = "thread",
-               order: Optional[str] = None,
-               batch: Optional[int] = None) -> List[Tuple[str, Callable]]:
+               order: Optional[str] = None) -> List[Tuple[str, Callable]]:
     """(name, thunk) pairs; each thunk runs one synthesis workload.
 
-    ``jobs``/``parallel_backend``/``order``/``batch`` apply to every
-    workload that does not pin its own order or batch -- with the
+    ``jobs``/``parallel_backend``/``order`` apply to every workload
+    that does not pin its own order -- with the
     defaults the results section is byte-stable against the checked-in
     report.
     """
 
-    def synth(spec, perf_filter, max_combinations=None, pinned_order=None,
-              pinned_batch=None):
+    def synth(spec, perf_filter, max_combinations=None, pinned_order=None):
         return _synth(spec, perf_filter, max_combinations=max_combinations,
                       order=pinned_order if pinned_order is not None else order,
-                      jobs=jobs, parallel_backend=parallel_backend,
-                      batch=pinned_batch if pinned_batch is not None else batch)
+                      jobs=jobs, parallel_backend=parallel_backend)
 
     jobs_list: List[Tuple[str, Callable]] = [
         ("adder16_pareto",
@@ -136,14 +131,6 @@ def _workloads(quick: bool, jobs: int = 1,
             ("adder8_keepall_capped",
              lambda: synth(adder_spec(8), "keep_all",
                            max_combinations=2000)),
-            # The same workload with the batched costing path pinned
-            # on: when a --batch 1 run forces the scalar path
-            # everywhere else, this entry still exercises (and gates
-            # byte-identity of) the vectorized evaluator.
-            ("adder8_keepall_batched",
-             lambda: synth(adder_spec(8), "keep_all",
-                           max_combinations=2000,
-                           pinned_batch=DEFAULT_BATCH)),
             ("alu16_top4_ablation",
              lambda: synth(alu_spec(16), "top_k:4")),
             ("adder32_pareto_ablation",
@@ -162,17 +149,16 @@ def _workloads(quick: bool, jobs: int = 1,
         ]
         jobs_list += _store_workload_pair(jobs=jobs,
                                           parallel_backend=parallel_backend,
-                                          order=order, batch=batch)
+                                          order=order)
         jobs_list += _node_workload(jobs=jobs,
                                     parallel_backend=parallel_backend,
-                                    order=order, batch=batch)
+                                    order=order)
         jobs_list += _serve_workload_pair()
     return jobs_list
 
 
 def _store_workload_pair(jobs: int = 1, parallel_backend: str = "thread",
-                         order: Optional[str] = None,
-                         batch: Optional[int] = None
+                         order: Optional[str] = None
                          ) -> List[Tuple[str, Callable]]:
     """The cold-vs-warm store pair: the same ALU64 request against one
     shared result store (:mod:`repro.store`).
@@ -201,7 +187,7 @@ def _store_workload_pair(jobs: int = 1, parallel_backend: str = "thread",
     def stored_synth():
         session = Session(library="lsi_logic", perf_filter="tradeoff:0.05",
                           order=order, jobs=jobs,
-                          parallel_backend=parallel_backend, batch=batch,
+                          parallel_backend=parallel_backend,
                           store=shared_store())
         job = session.synthesize(alu_spec(64))
         _note_combinations(session)
@@ -221,8 +207,7 @@ def _store_workload_pair(jobs: int = 1, parallel_backend: str = "thread",
 
 
 def _node_workload(jobs: int = 1, parallel_backend: str = "thread",
-                   order: Optional[str] = None,
-                   batch: Optional[int] = None
+                   order: Optional[str] = None
                    ) -> List[Tuple[str, Callable]]:
     """``alu64_nodes_warm``: the subtree-sharing workload.
 
@@ -254,12 +239,12 @@ def _node_workload(jobs: int = 1, parallel_backend: str = "thread",
         if not state.get("warmed"):
             Session(library="lsi_logic", perf_filter="tradeoff:0.05",
                     order=order, jobs=jobs,
-                    parallel_backend=parallel_backend, batch=batch,
+                    parallel_backend=parallel_backend,
                     node_store=nodes).synthesize(alu_spec(64))
             state["warmed"] = True
         session = Session(library="lsi_logic", perf_filter="tradeoff:0.05",
                           order=order, jobs=jobs,
-                          parallel_backend=parallel_backend, batch=batch,
+                          parallel_backend=parallel_backend,
                           node_store=nodes)
         job = session.synthesize(comparator_spec(64))
         _note_combinations(session)
@@ -403,7 +388,7 @@ def _run_workload(thunk: Callable, repeats: int) -> Tuple[Dict, Dict]:
 
 def run(repeats: int = 3, quick: bool = False, jobs: int = 1,
         parallel_backend: str = "thread",
-        order: Optional[str] = None, batch: Optional[int] = None,
+        order: Optional[str] = None,
         only: Optional[List[str]] = None) -> Dict:
     """Run every workload; return the report as a dict.
 
@@ -416,7 +401,7 @@ def run(repeats: int = 3, quick: bool = False, jobs: int = 1,
     """
     workloads = _workloads(quick, jobs=jobs,
                            parallel_backend=parallel_backend,
-                           order=order, batch=batch)
+                           order=order)
     if only:
         known = {name for name, _ in workloads}
         missing = [name for name in only if name not in known]
@@ -444,7 +429,6 @@ def run(repeats: int = 3, quick: bool = False, jobs: int = 1,
             "python": platform.python_version(),
             "platform": platform.platform(),
             "jobs": jobs,
-            "batch": batch,
             # Contextualizes the parallel workloads: a wall-clock
             # "regression" on --jobs runs usually just means fewer
             # cores than the run that wrote the baseline.
@@ -535,10 +519,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--order", default=None,
                         help="S1 enumeration order override for ad-hoc "
                              "measurements (lex, frontier)")
-    parser.add_argument("--batch", type=int, default=None,
-                        help="S1 costing block size for every workload "
-                             "that does not pin its own (1 = scalar "
-                             "path; results must not change)")
     parser.add_argument("--workload", action="append", default=None,
                         metavar="NAME", dest="workloads",
                         help="run only this workload (repeatable; the "
@@ -560,7 +540,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         report = run(repeats=args.repeats, quick=args.quick, jobs=args.jobs,
                      parallel_backend=args.parallel_backend, order=args.order,
-                     batch=args.batch, only=args.workloads)
+                     only=args.workloads)
     except KeyError as error:
         print(f"perf_report: {error.args[0]}", file=sys.stderr)
         return 2

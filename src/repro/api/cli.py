@@ -88,11 +88,6 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         help="S1 enumeration order: lex (default), frontier, or a "
              "registered name (see 'repro list orders'); frontier makes "
              "--max-combinations keep the best designs")
-    parser.add_argument(
-        "--batch", type=int, default=None, metavar="N",
-        help="block size for vectorized S1 combination costing "
-             "(default: engine default; 1 forces the scalar path; "
-             "results are identical for every value)")
 
 
 def _add_store_arg(parser: argparse.ArgumentParser, default,
@@ -492,7 +487,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             parallel_backend=args.parallel_backend,
             order=args.order,
-            batch=args.batch,
             store=args.store,
             node_store=args.node_store,
         )
@@ -542,7 +536,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "filter": args.perf_filter,
         "order": args.order,
         "max_combinations": args.max_combinations,
-        "batch": args.batch,
     }
     port = args.port if args.port is not None else DEFAULT_PORT
     try:
@@ -586,7 +579,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         "filter": args.perf_filter,
         "order": args.order,
         "max_combinations": args.max_combinations,
-        "batch": args.batch,
     }
     port = args.port if args.port is not None else DEFAULT_PORT
     if args.workers < 1:
@@ -649,7 +641,6 @@ def _cmd_warm(args: argparse.Namespace) -> int:
             max_combinations=args.max_combinations,
             jobs=args.jobs,
             order=args.order,
-            batch=args.batch,
             store=store,
             node_store=node_designator,
         )

@@ -198,7 +198,7 @@ NODE_STORES = Registry("node store", "() -> NodeStore")
 STORE_SCHEMES = Registry("store URL scheme",
                          "(rest, url, kind: 'results'|'nodes') -> backend")
 
-#: S1 enumeration orders for the streaming combiner.  Factory
+#: S1 enumeration orders (consumed by ``enumerate_rows``).  Factory
 #: convention: ``() -> Optional[callable]`` returning a function that
 #: reorders one option list (``None`` = keep list order).  Third-party
 #: orders registered here are usable as ``Session(order="name")`` and

@@ -69,7 +69,7 @@ class Session:
         Opt-in dominance pre-pruning before the S1 cross product (see
         :class:`~repro.core.design_space.DesignSpace`).
     max_combinations:
-        Per-node cap on the streamed S1 cross product; None keeps the
+        Per-node cap on the enumerated S1 cross product; None keeps the
         engine default.
     jobs:
         Worker count for parallel subtree evaluation (1 = sequential).
@@ -81,11 +81,6 @@ class Session:
         ``"frontier"``), or a callable reordering one option list.
         ``"frontier"`` makes ``max_combinations`` keep the best
         designs instead of the lexicographically first.
-    batch:
-        Block size for vectorized S1 combination costing (None keeps
-        the engine default; ``1`` forces the scalar per-combination
-        path).  Results are bit-identical for every value, so ``batch``
-        does not enter store fingerprints or node-cache space keys.
     store:
         Persistent result store (see :mod:`repro.store`): ``None``
         (default) disables persistence, a registered name
@@ -121,7 +116,6 @@ class Session:
         jobs: int = 1,
         parallel_backend: str = "thread",
         order: Any = None,
-        batch: Optional[int] = None,
         store: Any = None,
         node_store: Any = None,
     ) -> None:
@@ -140,7 +134,6 @@ class Session:
             jobs=jobs,
             parallel_backend=parallel_backend,
             order=create_order(order),
-            batch=batch,
         )
         if max_combinations is not None:
             self.space.max_combinations = max_combinations

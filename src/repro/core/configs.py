@@ -23,15 +23,17 @@ is an O(1) identity check, duplicate allocation disappears from the
 keep-all ablations, and every lazy per-object cache is computed once
 process-wide.
 
-Combining sibling options is *streaming*: :func:`iter_compatible`
-enumerates the S1-consistent cross product lazily, so a combination cap
-bounds the work performed, not just the length of a list that was
-already fully materialized.  Sibling specification sets are analysed up
+Combining sibling options is one pipeline: :func:`enumerate_rows`
+materializes the S1-consistent cross product as a block of rows, each
+carrying its merged choices in canonical order, and the design space
+costs the block through the compiled timing kernels and interns the
+results with :func:`make_configuration_parts`.  Enumeration stops at
+the combination cap, so the cap bounds the work performed, not just
+the length of the output.  Sibling specification sets are analysed up
 front: an option list whose specs appear in no other list can never
-conflict, so its choices are merged with plain dictionary writes and no
-comparisons at all; for lists that *can* conflict, each option's
-choices are split once (memoized by interned id) into the shared part
-that needs checking and the private part that is written blind.
+conflict, so it skips the consistency check entirely; for lists that
+*can* conflict, only the shared part of each option's choices is
+compared against the running merge.
 
 Enumeration order is pluggable: the default ``"lex"`` order walks the
 option lists exactly as given (the seed semantics, and what keeps
@@ -50,7 +52,6 @@ from typing import (
     Callable,
     Dict,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -72,11 +73,11 @@ class ChoiceTuple(tuple):
     Plain tuples recompute their hash on every use, and a choice
     tuple's hash walks every spec's (Python-level) ``__hash__``.  The
     intern table hashes the choices part of its key on every lookup --
-    twice on a miss (probe, then insert) -- so the batched evaluator
+    twice on a miss (probe, then insert) -- so the evaluator
     builds rows' choice items as ``ChoiceTuple`` and pays the spec walk
     once per instance instead of once per dictionary operation.
     Equality and the hash *value* are exactly the underlying tuple's,
-    so mixing with plain tuples (store revivals, scalar-path rows)
+    so mixing with plain tuples (store revivals, hand-built configs)
     stays transparent; pickles degrade to plain tuples so a cached
     hash (which embeds the per-process string-hash seed) never crosses
     a process boundary.
@@ -257,7 +258,7 @@ def make_configuration_parts(
 ) -> Configuration:
     """Interned constructor for *already canonical* parts.
 
-    The batched evaluator builds its delay items pre-sorted (the kernel
+    The evaluator builds its delay items pre-sorted (the kernel
     result layout is sorted once per arc signature), merges choice items
     in sorted order, and knows the worst-delay scalar from the block's
     value columns -- so the normalizing sorts and the ``__post_init__``
@@ -423,7 +424,7 @@ def adaptive_order(options: Sequence[Configuration],
     the lex-early region -- and appends the remaining options in
     frontier order, so the delay corner is seeded right behind them.
 
-    It is *limit-aware* (the streaming combiner passes its cap): with
+    It is *limit-aware* (the combiner passes its cap): with
     no cap there is nothing to ration and the list is kept as given,
     preserving the byte-stable seed semantics; with a cap smaller than
     the prefix the prefix shrinks to the cap (a budget of 2 should not
@@ -441,7 +442,7 @@ def adaptive_order(options: Sequence[Configuration],
 
 
 #: Marks an order callable whose signature is ``(options, limit)``:
-#: the streaming combiner passes its combination cap so the order can
+#: the combiner passes its combination cap so the order can
 #: ration the prefix (see :func:`adaptive_order`).
 adaptive_order.limit_aware = True  # type: ignore[attr-defined]
 
@@ -476,7 +477,7 @@ def resolve_order(order: Union[str, OrderFn, None]) -> Optional[OrderFn]:
 
 
 # ---------------------------------------------------------------------------
-# The streaming S1 combiner
+# The S1 combiner
 # ---------------------------------------------------------------------------
 
 def _prepare_lists(
@@ -485,10 +486,10 @@ def _prepare_lists(
     prune_dominated: bool,
     order: Union[str, OrderFn, None],
 ) -> Tuple[List[Sequence[Configuration]], List[set], set]:
-    """Shared front half of the S1 combiners: per-list spec universes,
+    """Front half of :func:`enumerate_rows`: per-list spec universes,
     the shared-spec set (specs that can collide across lists), optional
-    dominance pruning, and the enumeration-order transform.  Factored
-    out so the streaming and the batched enumerations cannot drift."""
+    dominance pruning, and the enumeration-order transform (a
+    limit-aware order receives the cap)."""
     # Which option lists can conflict at all?  A spec can collide only
     # when it appears in the choice universes of two different lists.
     universes: List[set] = []
@@ -517,122 +518,7 @@ def _prepare_lists(
     return lists, universes, shared
 
 
-def iter_compatible(
-    option_lists: Sequence[Sequence[Configuration]],
-    limit: Optional[int] = None,
-    prune_dominated: bool = False,
-    order: Union[str, OrderFn, None] = None,
-) -> Iterator[Tuple[Tuple[Configuration, ...], Dict[ComponentSpec, int]]]:
-    """Stream the S1-consistent cross product of per-spec options.
-
-    Yields ``(chosen configurations, merged choice map)`` in exactly
-    the order the nested-loop cross product would produce them, pruning
-    conflicting prefixes as early as possible.  With ``limit``, the
-    enumeration *stops* after that many combinations -- bounding the
-    work done, not just the output returned.  With ``order``, each
-    option list is reordered first (``"frontier"`` seeds by Pareto
-    rank, so the limited prefix holds the best designs).
-
-    The yielded choice map is reused between iterations for speed; copy
-    it if it must outlive the loop body (:func:`combine_compatible`
-    does exactly that).
-    """
-    if limit is not None and limit <= 0:
-        return
-    count = len(option_lists)
-    lists, universes, shared = _prepare_lists(
-        option_lists, limit, prune_dominated, order)
-    checked = [bool(universe & shared) for universe in universes]
-
-    # For conflict-checked lists, split each option's choices once into
-    # the shared part (compared against the running merge) and the
-    # private part (written blind -- private specs cannot collide).
-    # The split is memoized by interned id, so an option appearing in
-    # several lists, or the same canonical configuration reached from
-    # different nodes, is split exactly once per enumeration.
-    split_memo: Dict[int, Tuple[Tuple[Choice, ...], Tuple[Choice, ...]]] = {}
-
-    def split(config: Configuration):
-        key = config.interned_id
-        if key is None:
-            key = -id(config)  # uninterned: fall back to object identity
-        cached = split_memo.get(key)
-        if cached is None:
-            shared_items = tuple(c for c in config.choices if c[0] in shared)
-            private_items = tuple(c for c in config.choices if c[0] not in shared)
-            cached = split_memo[key] = (shared_items, private_items)
-        return cached
-
-    merged: Dict[ComponentSpec, int] = {}
-    chosen: List[Optional[Configuration]] = [None] * count
-    emitted = 0
-
-    def walk(depth: int) -> Iterator[
-        Tuple[Tuple[Configuration, ...], Dict[ComponentSpec, int]]
-    ]:
-        nonlocal emitted
-        if depth == count:
-            yield tuple(chosen), merged
-            emitted += 1
-            return
-        options = lists[depth]
-        if not checked[depth]:
-            # No spec of this list appears anywhere else: conflicts are
-            # impossible, so skip the compare-and-merge entirely.
-            for config in options:
-                chosen[depth] = config
-                choices = config.choices
-                for spec, impl in choices:
-                    merged[spec] = impl
-                yield from walk(depth + 1)
-                for spec, _ in choices:
-                    del merged[spec]
-                if limit is not None and emitted >= limit:
-                    return
-        else:
-            for config in options:
-                chosen[depth] = config
-                shared_items, private_items = split(config)
-                consistent = True
-                to_add: List[Choice] = []
-                for spec, impl in shared_items:
-                    existing = merged.get(spec)
-                    if existing is None:
-                        to_add.append((spec, impl))
-                    elif existing != impl:
-                        consistent = False
-                        break
-                if consistent:
-                    for spec, impl in to_add:
-                        merged[spec] = impl
-                    for spec, impl in private_items:
-                        merged[spec] = impl
-                    yield from walk(depth + 1)
-                    for spec, _ in to_add:
-                        del merged[spec]
-                    for spec, _ in private_items:
-                        del merged[spec]
-                if limit is not None and emitted >= limit:
-                    return
-
-    yield from walk(0)
-
-
-def combine_compatible(
-    option_lists: Sequence[Sequence[Configuration]],
-    limit: Optional[int] = None,
-    order: Union[str, OrderFn, None] = None,
-) -> List[Tuple[Tuple[Configuration, ...], Dict[ComponentSpec, int]]]:
-    """Materialized form of :func:`iter_compatible` (kept for callers
-    and tests that want the whole list; each result owns its map)."""
-    return [
-        (chosen, dict(merged))
-        for chosen, merged in iter_compatible(option_lists, limit=limit,
-                                              order=order)
-    ]
-
-
-#: One batched combination row: the chosen configurations plus the
+#: One combination row: the chosen configurations plus the
 #: canonically-sorted merged choice items (``None`` = rejected by the
 #: caller's own-choice S1 check; the row still counted against the cap).
 Row = Tuple[Tuple[Configuration, ...], Optional[Tuple[Choice, ...]]]
@@ -647,13 +533,13 @@ def enumerate_rows(
 ) -> List[Row]:
     """The S1 cross product as a materialized block of rows.
 
-    Exactly the combinations :func:`iter_compatible` streams -- same
-    order transform, same conflict pruning at the same depth, same
-    ``limit`` semantics (enumeration aborts at the cap, so the cap
-    bounds both the work and this list's memory) -- but built for the
-    batched costing path: instead of a reusable merged choice *map*,
-    each row carries the merged choice items already in canonical
-    sorted order, ready for :func:`make_configuration_parts`.  The sort
+    Rows come in nested-loop (lexicographic) order over the reordered
+    option lists, a conflicting prefix is pruned at the depth where it
+    first conflicts, and enumeration aborts at ``limit``, so the cap is
+    a prefix of the full enumeration and bounds both the work and this
+    list's memory.  Each row carries the merged choice items already in
+    canonical sorted order, ready for :func:`make_configuration_parts`.
+    The sort
     never compares two specs: every spec of the node gets a small
     integer *rank* in sort-key order (equal sort keys imply equal
     specs, so the rank map is order-preserving and injective), each
@@ -665,11 +551,11 @@ def enumerate_rows(
     pay a dedup pass.
 
     ``own_choice`` folds the caller's own (spec -> impl) entries into
-    every row the way the scalar evaluator does after the merge: a row
-    whose children pin an own spec to a different impl is an S1
-    conflict -- it still counts against ``limit`` (the scalar path
-    counts it before its conflict check too) but its choice items are
-    ``None`` so the caller skips costing it.
+    every row after the merge: a row whose children pin an own spec to
+    a different impl is an S1 conflict -- it still counts against
+    ``limit`` (the cap counts enumerated combinations, before the
+    own-choice check) but its choice items are ``None`` so the caller
+    skips costing it.
     """
     if limit is not None and limit <= 0:
         return []
@@ -683,15 +569,15 @@ def enumerate_rows(
             sorted(own_choice.items(), key=lambda kv: kv[0].sort_key))
     rows: List[Row] = []
     if count == 0:
-        # No sibling lists: the scalar walk yields exactly one empty
-        # combination, whose choices are the caller's own entries.
+        # No sibling lists: exactly one empty combination, whose
+        # choices are the caller's own entries.
         rows.append(((), own_items))
         return rows
 
     # The merge map tracks every spec that can appear twice in one row:
-    # the shared set, plus own specs present in some child universe (the
-    # scalar evaluator catches own-vs-child conflicts against its full
-    # merged map).  Widening beyond ``shared`` changes no sibling
+    # the shared set, plus own specs present in some child universe (an
+    # own-vs-child conflict is a conflict against the full merged
+    # choices).  Widening beyond ``shared`` changes no sibling
     # pruning -- a spec private to one list can never conflict between
     # siblings -- it only makes the own-choice check exact.
     tracked = shared
@@ -779,7 +665,7 @@ def enumerate_rows(
             # Equal specs share one rank (the rank map is value-keyed),
             # so duplicates are adjacent after the sort and detected by
             # integer division alone; keep the first occurrence (lowest
-            # depth -- the scalar dict's insertion position, and the
+            # depth -- a merged dict's insertion position, and the
             # impls of duplicates are equal by construction).
             deduped = []
             prev_rank = -1

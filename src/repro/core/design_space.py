@@ -27,10 +27,15 @@ The evaluation inner loop is engineered for the paper's scale claim
   :class:`~repro.netlist.timing_program.TimingProgram` (graph
   structure, wiring arcs, and per-arc-signature topological orders),
   so costing a combination only substitutes delay weights;
-- the S1 cross product is *streamed*
-  (:func:`~repro.core.configs.iter_compatible`), so ``max_combinations``
-  bounds the enumeration work itself, and sibling specs that cannot
-  conflict skip choice-map checks entirely;
+- one enumerate -> cost -> construct pipeline per decomposition: the
+  S1 cross product is enumerated as rows
+  (:func:`~repro.core.configs.enumerate_rows`), so ``max_combinations``
+  bounds the enumeration work itself and sibling specs that cannot
+  conflict skip choice-map checks entirely; the rows are costed in
+  blocks through the program's per-arc-signature kernels
+  (``run_batch``, numpy-accelerated when numpy imports, a stdlib sweep
+  otherwise); and the configurations are built from the presorted
+  parts (:func:`~repro.core.configs.make_configuration_parts`);
 - rule applications, cell matchings, and compiled programs are pure
   functions of (rule, spec, library) and are cached process-wide, so
   repeated syntheses (benchmarks, serving, LOLA retargeting sweeps)
@@ -66,7 +71,6 @@ from array import array
 from repro.core.configs import (
     Configuration,
     enumerate_rows,
-    iter_compatible,
     make_configuration,
     make_configuration_parts,
     resolve_order,
@@ -88,12 +92,12 @@ class SynthesisError(Exception):
     the leaf specifications that could not be implemented."""
 
 
-#: Default combination-costing block size (``DesignSpace(batch=...)``).
-#: Big enough that the per-block numpy dispatch and layout costs
-#: amortize, small enough that per-slot weight matrices stay cache
-#: friendly; kernels additionally chunk internally so wide netlists
-#: cannot blow memory whatever the block size.
-DEFAULT_BATCH = 256
+#: Rows per combination-costing block.  Big enough that the per-block
+#: numpy dispatch and layout costs amortize, small enough that per-slot
+#: weight matrices stay cache friendly; kernels additionally chunk
+#: internally so wide netlists cannot blow memory whatever the block
+#: size.
+_BLOCK_ROWS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +300,6 @@ class DesignSpace:
         jobs: int = 1,
         parallel_backend: str = "thread",
         order: object = "lex",
-        batch: Optional[int] = None,
     ) -> None:
         self.rulebase = rulebase
         self.library = library
@@ -316,13 +319,6 @@ class DesignSpace:
         #: S1 enumeration order: ``"lex"``, ``"frontier"``, or a
         #: callable reordering one option list (resolved once).
         self.order = resolve_order(order)
-        #: Combination-costing block size: with ``batch > 1`` the S1
-        #: cross product is costed through the kernels' vectorized
-        #: ``run_batch`` path in blocks sharing an arc signature;
-        #: ``batch=1`` restores the scalar per-combination loop.  Both
-        #: paths are bit-identical (and the knob is therefore excluded
-        #: from store/node fingerprints, like ``jobs``).
-        self.batch = DEFAULT_BATCH if batch is None else max(1, int(batch))
         #: Total S1-consistent combinations costed by this space (rows
         #: that survived the own-choice conflict check and went through
         #: a timing kernel); benchmarks report combinations/second.
@@ -585,16 +581,9 @@ class DesignSpace:
             self._evaluating.discard(spec)
 
     def _select(self, candidates: List[Configuration]) -> List[Configuration]:
-        """Apply the performance filter, preferring its single-pass
-        block path (``select_block``) when batching is on.  Both paths
-        return bit-identical survivors in identical order; third-party
-        filters without ``select_block`` fall back to ``select``."""
+        """Apply the performance filter (S2), clocked as ``filter``."""
         phase_start = time.perf_counter()
         try:
-            if self.batch > 1:
-                block = getattr(self.perf_filter, "select_block", None)
-                if block is not None:
-                    return block(candidates)
             return self.perf_filter.select(candidates)
         finally:
             self._phase_add("filter", time.perf_counter() - phase_start)
@@ -640,62 +629,14 @@ class DesignSpace:
     ) -> List[Configuration]:
         """Cost every S1-consistent combination of module options.
 
-        The combiner enforces ``max_combinations`` during enumeration;
-        the compiled timing program substitutes each combination's
-        delay weights into the prebuilt graph.  With ``batch > 1`` the
-        combinations are materialized as rows, grouped by arc signature,
-        and costed through the kernels' vectorized block path --
-        bit-identical results in the identical order.
+        The combiner enforces ``max_combinations`` during enumeration
+        and materializes the (capped) rows; the rows are grouped by arc
+        signature, each group's delay weights go through ``run_batch``
+        as flat matrices in blocks of :data:`_BLOCK_ROWS`, and the
+        configurations are rebuilt from the presorted parts.  Results
+        land back in enumeration order.
         """
         phase_start = time.perf_counter()
-        if self.batch > 1:
-            try:
-                return self._evaluate_combinations_batched(
-                    program, option_lists, own_choice)
-            finally:
-                self._phase_add("enumerate_cost",
-                                time.perf_counter() - phase_start)
-        results: List[Configuration] = []
-        for chosen, merged in iter_compatible(
-            option_lists,
-            limit=self.max_combinations,
-            prune_dominated=self.prune_partial,
-            order=self.order,
-        ):
-            choices = dict(merged)
-            if own_choice is not None:
-                conflict = False
-                for own_spec, own_impl in own_choice.items():
-                    existing = choices.get(own_spec)
-                    if existing is not None and existing != own_impl:
-                        conflict = True
-                        break
-                    choices[own_spec] = own_impl
-                if conflict:
-                    continue
-            area = program.total_area([c.area for c in chosen])
-            delays = program.evaluate(
-                tuple(c.arc_keys for c in chosen),
-                [c.delay_values for c in chosen],
-            )
-            results.append(make_configuration(area, delays, choices))
-        self.combinations_costed += len(results)
-        self._phase_add("enumerate_cost",
-                        time.perf_counter() - phase_start)
-        return results
-
-    def _evaluate_combinations_batched(
-        self,
-        program: TimingProgram,
-        option_lists: List[List[Configuration]],
-        own_choice: Optional[Dict[ComponentSpec, int]],
-    ) -> List[Configuration]:
-        """Vectorized combination costing: materialize the (capped) S1
-        rows, group them by arc signature, push each group's delay
-        weights through ``run_batch`` as flat matrices, and rebuild the
-        configurations from the presorted parts.  Results land back in
-        enumeration order, so output is byte-identical to the scalar
-        loop."""
         rows = enumerate_rows(
             option_lists,
             limit=self.max_combinations,
@@ -742,15 +683,14 @@ class DesignSpace:
             else:
                 group.append(index)
         module_slots = program.module_slots
-        batch = self.batch
         costed = 0
         for indices in groups.values():
             signature = tuple(
                 c.arc_keys for c in rows[indices[0]][0])
             kernel = program.kernel(signature)
             costed += len(indices)
-            for start in range(0, len(indices), batch):
-                chunk = indices[start:start + batch]
+            for start in range(0, len(indices), _BLOCK_ROWS):
+                chunk = indices[start:start + _BLOCK_ROWS]
                 chosen_rows = [rows[index][0] for index in chunk]
                 matrices = []
                 for slot in range(len(signature)):
@@ -764,8 +704,8 @@ class DesignSpace:
                 for offset, index in enumerate(chunk):
                     chosen = chosen_rows[offset]
                     values = block[offset]
-                    # Same float addition sequence as the scalar
-                    # path's program.total_area walk.
+                    # Same float addition sequence as
+                    # program.total_area's per-module walk.
                     area = 0.0
                     for slot in module_slots:
                         area += area_maps[slot][id(chosen[slot])]
@@ -776,6 +716,7 @@ class DesignSpace:
                         max(values) if values else 0.0,
                     )
         self.combinations_costed += costed
+        self._phase_add("enumerate_cost", time.perf_counter() - phase_start)
         return [config for config in results if config is not None]
 
     # ------------------------------------------------------------------

@@ -16,31 +16,24 @@ hundreds of thousands of designs to ten).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Protocol, Sequence
+from typing import List, Protocol, Sequence
 
 from repro.core.configs import Configuration
 
-try:  # optional: the block paths fall back to the scalar sort without it
+try:  # optional: the block sort falls back to ``sorted`` without it
     import numpy as _np
 except ImportError:  # pragma: no cover - numpy is present in CI images
     _np = None
 
 
 class PerformanceFilter(Protocol):
-    """Protocol for search-control filters over configurations.
-
-    Filters may additionally offer ``select_block`` (same contract as
-    ``select``); the batched evaluator prefers it when present and
-    falls back to ``select`` otherwise, so third-party filters keep
-    working unchanged."""
+    """Protocol for search-control filters over configurations: the
+    design space calls ``select`` once per specification node, on the
+    node's whole block of costed candidates."""
 
     def select(self, configs: Sequence[Configuration]) -> List[Configuration]:
         """Return the retained configurations, sorted by (area, delay)."""
         ...
-
-
-def _sorted(configs: Iterable[Configuration]) -> List[Configuration]:
-    return sorted(configs, key=lambda c: (c.area, c.delay))
 
 
 def _sorted_block(configs: Sequence[Configuration]) -> List[Configuration]:
@@ -50,7 +43,7 @@ def _sorted_block(configs: Sequence[Configuration]) -> List[Configuration]:
     bit-identical to ``sorted(key=(area, delay))`` -- ties in both
     coordinates keep the original order in both implementations."""
     if _np is None or len(configs) < 32:
-        return _sorted(configs)
+        return sorted(configs, key=lambda c: (c.area, c.delay))
     areas = _np.array([c.area for c in configs])
     delays = _np.array([c.delay for c in configs])
     order = _np.lexsort((delays, areas))
@@ -80,11 +73,6 @@ class KeepAllFilter:
     name = "keep-all"
 
     def select(self, configs: Sequence[Configuration]) -> List[Configuration]:
-        return _sorted(configs)
-
-    def select_block(
-        self, configs: Sequence[Configuration]
-    ) -> List[Configuration]:
         return _sorted_block(configs)
 
 
@@ -100,11 +88,6 @@ class ParetoFilter:
     name = "pareto"
 
     def select(self, configs: Sequence[Configuration]) -> List[Configuration]:
-        return pareto_frontier(_sorted(configs))
-
-    def select_block(
-        self, configs: Sequence[Configuration]
-    ) -> List[Configuration]:
         return pareto_frontier(_sorted_block(configs))
 
 
@@ -127,11 +110,6 @@ class TradeoffFilter:
         self.min_delay_gain = min_delay_gain
 
     def select(self, configs: Sequence[Configuration]) -> List[Configuration]:
-        return self._thin(pareto_frontier(_sorted(configs)))
-
-    def select_block(
-        self, configs: Sequence[Configuration]
-    ) -> List[Configuration]:
         return self._thin(pareto_frontier(_sorted_block(configs)))
 
     def _thin(self, frontier: List[Configuration]) -> List[Configuration]:
@@ -167,11 +145,6 @@ class TopKFilter:
         self.k = k
 
     def select(self, configs: Sequence[Configuration]) -> List[Configuration]:
-        return self._top(pareto_frontier(_sorted(configs)))
-
-    def select_block(
-        self, configs: Sequence[Configuration]
-    ) -> List[Configuration]:
         return self._top(pareto_frontier(_sorted_block(configs)))
 
     def _top(self, frontier: List[Configuration]) -> List[Configuration]:

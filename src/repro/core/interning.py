@@ -10,11 +10,11 @@ asks the table for the canonical instance, so
 - equal configurations are *the same object* process-wide, which makes
   equality an O(1) identity check between interned instances (see
   ``Configuration.__eq__``) and lets the per-object lazy caches
-  (``arc_keys``, ``delay_values``, ``chosen_impl`` tables, split choice
-  tuples) be computed once and shared by every user;
+  (``arc_keys``, ``delay_values``, ``choice_specs``, ``chosen_impl``
+  tables) be computed once and shared by every user;
 - each configuration carries a stable ``interned_id`` -- a small int
-  the streaming S1 combiner uses to memoize per-configuration work
-  within one enumeration;
+  that marks it as the canonical instance (:meth:`InternTable.intern`
+  returns such a configuration as is);
 - pickles round-trip through the table
   (``Configuration.__reduce__``), so results shipped back from
   multiprocessing workers land as canonical parent-process instances.
@@ -52,7 +52,7 @@ class InternTable:
         # Fast-path lookup: WeakValueDictionary.get is a Python-level
         # method; reading its underlying ``data`` dict of key -> weak
         # reference directly halves the per-intern overhead on the
-        # batched evaluator's hot path.  Falls back cleanly if the
+        # evaluator's hot path.  Falls back cleanly if the
         # attribute ever disappears.
         self._data = getattr(self._table, "data", None)
         self._lock = threading.Lock()
@@ -72,7 +72,7 @@ class InternTable:
         On a hit no new object is allocated at all; on a miss the
         configuration is constructed, tagged with the next intern id,
         and becomes the canonical instance.  ``delay`` optionally passes
-        a precomputed worst-delay scalar (the batched evaluator already
+        a precomputed worst-delay scalar (the evaluator already
         holds it), skipping the derivation in ``__post_init__``; it must
         equal the derived value, which equality/hash ignore anyway.
         """

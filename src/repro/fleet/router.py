@@ -121,7 +121,6 @@ _BASE_DEFAULTS: Dict[str, Any] = {
     "filter": "pareto",
     "order": None,
     "max_combinations": None,
-    "batch": None,
 }
 
 
@@ -577,8 +576,6 @@ class FleetService:
             argv += ["--order", str(d["order"])]
         if d["max_combinations"] is not None:
             argv += ["--max-combinations", str(d["max_combinations"])]
-        if d["batch"] is not None:
-            argv += ["--batch", str(d["batch"])]
         return argv
 
     @staticmethod

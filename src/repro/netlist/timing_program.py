@@ -92,15 +92,15 @@ class _BatchPlan:
     __slots__ = ("keys", "contribs", "source_edges", "np_cache")
 
     def __init__(self, keys, contribs, source_edges) -> None:
-        #: Sorted (source, sink) result keys -- exactly
-        #: ``tuple(sorted(run(...).keys()))`` for any weight set.
+        #: Sorted (source, sink) result keys -- exactly the keys of
+        #: ``port_delay_matrix`` for any weight set.
         self.keys = keys
         #: Parallel to ``keys``: tuple of (source row, node id) pairs
         #: whose arrival times max-merge into that key.
         self.contribs = contribs
         #: Per source row, the edge indices reachable from that source
-        #: (the batched sweep skips the rest -- the same work the scalar
-        #: path's ``du != neg`` guard avoids).
+        #: (the batched sweep skips the rest: they would only relax
+        #: ``-inf`` arrivals).
         self.source_edges = source_edges
         #: Lazily built numpy views of the edge arrays (None until the
         #: numpy path first runs).
@@ -148,37 +148,6 @@ class _Kernel:
             setattr(self, name, value)
         self._plan = None
 
-    def run(
-        self, values: Sequence[Sequence[float]]
-    ) -> Dict[Tuple[str, str], float]:
-        """Longest-path propagation with the given per-slot weights."""
-        neg = _NEG_INF
-        weights = [
-            0.0 if slot < 0 else values[slot][index]
-            for slot, index in self.edge_ref
-        ]
-        edge_u, edge_v = self.edge_u, self.edge_v
-        result: Dict[Tuple[str, str], float] = {}
-        for source_name, src in self.sources:
-            dist = [neg] * self.n_nodes
-            dist[src] = 0.0
-            for u, v, w in zip(edge_u, edge_v, weights):
-                du = dist[u]
-                if du != neg:
-                    t = du + w
-                    if t > dist[v]:
-                        dist[v] = t
-            for nid, label in self.labeled:
-                if nid == src:
-                    continue
-                value = dist[nid]
-                if value != neg:
-                    key = (source_name, label)
-                    prev = result.get(key)
-                    if prev is None or value > prev:
-                        result[key] = value
-        return result
-
     # -- batched evaluation --------------------------------------------
     def _build_plan(self) -> _BatchPlan:
         """Derive the structural result layout (see :class:`_BatchPlan`)
@@ -213,12 +182,12 @@ class _Kernel:
         ``values[s]`` is a flat row-major matrix (``array('d')`` /
         memoryview / any indexable float sequence) of shape
         ``rows x len(arc_keys of slot s)``.  Returns ``(keys, block)``:
-        ``keys`` are the sorted (source, sink) result pairs -- the same
-        set :meth:`run` would produce for any of the rows -- and
-        ``block[r]`` lists row ``r``'s delays parallel to ``keys``.
-        Results are bit-identical to per-row :meth:`run` calls: every
-        row propagates the same prefix sums along the same topological
-        edge list, merged with order-independent ``max``.
+        ``keys`` are the sorted (source, sink) pairs reachable in the
+        kernel's graph -- the same for every row -- and ``block[r]``
+        lists row ``r``'s delays parallel to ``keys``.  Every row
+        propagates the same prefix sums along the same topological edge
+        list, merged with order-independent ``max``, so a row's result
+        does not depend on the block it is costed in.
         """
         plan = self._plan
         if plan is None:
@@ -303,10 +272,10 @@ class _Kernel:
     def _run_batch_np(
         self, plan: _BatchPlan, values: Sequence[Sequence[float]], rows: int
     ) -> List[List[float]]:
-        """Numpy fast path: identical arithmetic (elementwise add and
-        max over float64 match the scalar sequence bit for bit;
-        ``-inf + w`` stays ``-inf``, standing in for the scalar path's
-        reachability guard)."""
+        """Numpy fast path: identical arithmetic to the stdlib sweep
+        (elementwise add and max over float64 match it bit for bit;
+        ``-inf + w`` stays ``-inf``, standing in for its reachability
+        guard)."""
         cache = plan.np_cache
         if cache is None:
             n_edges = len(self.edge_u)
@@ -543,70 +512,23 @@ class TimingProgram:
             self._kernels[arc_keys_by_slot] = kernel
         return kernel
 
-    def evaluate(
-        self,
-        arc_keys_by_slot: Tuple[ArcKeys, ...],
-        values_by_slot: Sequence[Sequence[float]],
-    ) -> Dict[Tuple[str, str], float]:
-        """Delay matrix of the netlist for one choice of per-slot delay
-        matrices.
-
-        ``arc_keys_by_slot[s]`` lists slot ``s``'s (input, output) arc
-        pairs; ``values_by_slot[s][i]`` is the weight of arc ``i``.  The
-        result maps ``(source, sink)`` to nanoseconds exactly like
-        :func:`repro.netlist.timing.port_delay_matrix`.
-        """
-        return self.kernel(arc_keys_by_slot).run(values_by_slot)
-
     def evaluate_batch(
         self,
         arc_keys_by_slot: Tuple[ArcKeys, ...],
         values_by_slot: Sequence[Sequence[float]],
         rows: int,
     ) -> Tuple[Tuple[Tuple[str, str], ...], List[List[float]]]:
-        """Block form of :meth:`evaluate`: ``values_by_slot[s]`` is a
-        flat row-major ``rows x len(arc_keys_by_slot[s])`` matrix, and
-        the result is ``(sorted result keys, per-row value lists)`` --
-        see :meth:`_Kernel.run_batch`."""
+        """Delay matrices of the netlist for a block of ``rows`` choices
+        of per-slot delay matrices.
+
+        ``arc_keys_by_slot[s]`` lists slot ``s``'s (input, output) arc
+        pairs; ``values_by_slot[s]`` is a flat row-major
+        ``rows x len(arc_keys_by_slot[s])`` matrix of their weights.
+        The result is ``(sorted (source, sink) keys, per-row value
+        lists)``; row ``r`` zipped with the keys is exactly what
+        :func:`repro.netlist.timing.port_delay_matrix` computes for
+        that row's weights -- see :meth:`_Kernel.run_batch`."""
         return self.kernel(arc_keys_by_slot).run_batch(values_by_slot, rows)
-
-    def evaluate_matrices(
-        self, matrices_by_slot: Sequence[Dict[Tuple[str, str], float]]
-    ) -> Dict[Tuple[str, str], float]:
-        """Convenience wrapper taking one delay-matrix mapping per slot.
-
-        The canonical (arcs, values) extraction -- a sort per matrix --
-        is memoized per matrix *object* (the memo holds the matrix, so
-        its id cannot be recycled while the entry lives); callers that
-        re-pass the same mapping objects stop paying the sort.  Treat a
-        matrix as frozen once passed: a same-length in-place mutation is
-        not detectable at this cost.
-        """
-        memo = self.__dict__.get("_matrix_memo")
-        if memo is None:
-            memo = self._matrix_memo = {}
-        arcs: List[ArcKeys] = []
-        values: List[Tuple[float, ...]] = []
-        for matrix in matrices_by_slot:
-            entry = memo.get(id(matrix))
-            if entry is None or entry[0] is not matrix \
-                    or len(entry[1]) != len(matrix):
-                if len(memo) >= 1024:
-                    memo.clear()
-                items = tuple(sorted(matrix.items()))
-                entry = (matrix, tuple(k for k, _ in items),
-                         tuple(v for _, v in items))
-                memo[id(matrix)] = entry
-            arcs.append(entry[1])
-            values.append(entry[2])
-        return self.evaluate(tuple(arcs), values)
-
-    def __getstate__(self):
-        """Keep programs picklable by construction: the matrix memo is
-        keyed by object id, which is meaningless in another process."""
-        state = self.__dict__.copy()
-        state.pop("_matrix_memo", None)
-        return state
 
 
 def compile_timing(

@@ -328,7 +328,6 @@ class SynthesisService:
             "filter": "pareto",
             "order": None,
             "max_combinations": None,
-            "batch": None,
         }
         if defaults:
             self.defaults.update(defaults)
@@ -391,9 +390,6 @@ class SynthesisService:
             perf_filter=params["filter"],
             order=params["order"],
             max_combinations=params["max_combinations"],
-            # Server-level tuning, not part of SESSION_PARAMS: batch
-            # never changes results, so it must not split the pool.
-            batch=params.get("batch"),
             store=self.store,
             node_store=self.node_store,
         )

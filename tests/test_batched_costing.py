@@ -1,25 +1,27 @@
-"""Batched S1 costing parity: the vectorized evaluator
-(``DesignSpace(batch=N)``) must be bit-identical to the scalar path --
+"""Parity of the engine's block costing path against the seed
+reference evaluator (``ReferenceSpace`` in ``test_engine_parity``):
 same survivor configurations (same *objects*, via interning), same
 order, same emitter output -- across filters, enumeration orders,
 worker counts/backends, and perturbed delay books.
 
 Also covers the kernel-level ``run_batch`` contract (stdlib vs numpy vs
-per-row, chunked blocks), the ``evaluate_matrices`` memo satellite, and
-the pickling invariants the batched path leans on (canonical interned
+per-row, chunked blocks, agreement with the direct timing walker) and
+the pickling invariants the block path leans on (canonical interned
 specs, ``ChoiceTuple`` degrading to a plain tuple).
 """
 
 import dataclasses
+import json
 import multiprocessing
 import pickle
 import random
+import re
 
 import pytest
 
 from repro.api import Session
 from repro.core.configs import ChoiceTuple, make_configuration
-from repro.core.design_space import DEFAULT_BATCH, DesignSpace
+from repro.core.design_space import DesignSpace
 from repro.core.filters import (
     KeepAllFilter,
     ParetoFilter,
@@ -30,19 +32,23 @@ from repro.core.library_rules import lsi_rules
 from repro.core.rulebase import standard_rulebase
 from repro.core.specs import adder_spec, alu_spec, comparator_spec, make_spec
 from repro.netlist import timing_program as tp
+from repro.netlist.timing import port_delay_matrix
 from repro.techlib import lsi_logic_library
 from repro.techlib.cells import CellLibrary
+
+from test_engine_parity import ReferenceSpace, reference_session
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 BACKENDS = ["thread"] + (["process"] if HAS_FORK else [])
 
 
-def _space(library=None, perf_filter=None, **kwargs) -> DesignSpace:
+def _space(library=None, perf_filter=None, cls=DesignSpace,
+           **kwargs) -> DesignSpace:
     rulebase = standard_rulebase()
     rulebase.extend(lsi_rules())
-    return DesignSpace(rulebase, library or lsi_logic_library(),
-                       perf_filter or ParetoFilter(), **kwargs)
+    return cls(rulebase, library or lsi_logic_library(),
+               perf_filter or ParetoFilter(), **kwargs)
 
 
 def _perturbed_library(seed: int) -> CellLibrary:
@@ -76,58 +82,47 @@ def test_batched_parity_fuzz_perturbed_delay_books(seed):
     spec = adder_spec(8)
     rng = random.Random(seed * 1000 + 1)
     library = _perturbed_library(seed)
-    perf_filter, batch, order = (
-        rng.choice([KeepAllFilter, ParetoFilter, TradeoffFilter,
-                    lambda: TopKFilter(5)])(),
-        rng.choice([2, 17, DEFAULT_BATCH]),
-        rng.choice([None, "lex", "frontier", "auto"]),
-    )
+    make_filter = rng.choice([KeepAllFilter, ParetoFilter, TradeoffFilter,
+                              lambda: TopKFilter(5)])
+    order = rng.choice([None, "lex", "frontier", "auto"])
     # keep-all without a cap on a perturbed book can explode; the cap
     # is always finite so the fuzz stays a test, not a benchmark
     cap = rng.choice([40, 500])
-    scalar = _space(library, perf_filter, batch=1, order=order,
+    engine = _space(library, make_filter(), order=order,
                     max_combinations=cap).alternatives(spec)
-    batched = _space(library, type(perf_filter)()
-                     if not isinstance(perf_filter, TopKFilter)
-                     else TopKFilter(5),
-                     batch=batch, order=order,
-                     max_combinations=cap).alternatives(spec)
-    assert _fingerprint(scalar) == _fingerprint(batched)
-    for a, b in zip(scalar, batched):
+    oracle = _space(library, make_filter(), cls=ReferenceSpace, order=order,
+                    max_combinations=cap).alternatives(spec)
+    assert _fingerprint(engine) == _fingerprint(oracle)
+    for a, b in zip(engine, oracle):
         assert a is b  # interning: bit-identical means same object
 
 
 @pytest.mark.parametrize("order", [None, "lex", "frontier", "auto"])
 def test_batched_parity_every_order(order):
     spec = adder_spec(8)
-    scalar = _space(perf_filter=KeepAllFilter(), batch=1, order=order,
+    engine = _space(perf_filter=KeepAllFilter(), order=order,
                     max_combinations=300).alternatives(spec)
-    batched = _space(perf_filter=KeepAllFilter(), batch=DEFAULT_BATCH,
-                     order=order, max_combinations=300).alternatives(spec)
-    assert len(scalar) > 0
-    assert _fingerprint(scalar) == _fingerprint(batched)
+    oracle = _space(perf_filter=KeepAllFilter(), cls=ReferenceSpace,
+                    order=order, max_combinations=300).alternatives(spec)
+    assert len(engine) > 0
+    assert _fingerprint(engine) == _fingerprint(oracle)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_batched_parity_with_jobs_and_emitters(jobs, backend):
-    def job_for(batch):
-        session = Session(library="lsi_logic", perf_filter="tradeoff:0.05",
-                          jobs=jobs, parallel_backend=backend, batch=batch)
-        return session.synthesize(alu_spec(16))
-
-    scalar, batched = job_for(1), job_for(DEFAULT_BATCH)
-    assert _fingerprint([a.config for a in scalar.result.alternatives]) == \
-        _fingerprint([a.config for a in batched.result.alternatives])
-    import json as json_module
-    import re
-
+    settings = dict(library="lsi_logic", perf_filter="tradeoff:0.05")
+    engine = Session(jobs=jobs, parallel_backend=backend,
+                     **settings).synthesize(alu_spec(16))
+    oracle = reference_session(**settings).synthesize(alu_spec(16))
+    assert _fingerprint([a.config for a in engine.result.alternatives]) == \
+        _fingerprint([a.config for a in oracle.result.alternatives])
     strip_runtime = re.compile(r"in \d+\.\d+ s")
-    assert strip_runtime.sub("", scalar.emit("report")) == \
-        strip_runtime.sub("", batched.emit("report"))
+    assert strip_runtime.sub("", engine.emit("report")) == \
+        strip_runtime.sub("", oracle.emit("report"))
     bodies = []
-    for job in (scalar, batched):
-        payload = json_module.loads(job.emit("json"))
+    for job in (engine, oracle):
+        payload = json.loads(job.emit("json"))
         payload.pop("runtime_seconds", None)  # wall clock, never parity
         payload.pop("phases", None)           # wall clock too
         bodies.append(payload)
@@ -136,13 +131,12 @@ def test_batched_parity_with_jobs_and_emitters(jobs, backend):
 
 def test_combinations_costed_counter_matches_scalar():
     spec = comparator_spec(16)
-    scalar = _space(perf_filter=KeepAllFilter(), batch=1,
+    engine = _space(perf_filter=KeepAllFilter(), max_combinations=200)
+    oracle = _space(perf_filter=KeepAllFilter(), cls=ReferenceSpace,
                     max_combinations=200)
-    batched = _space(perf_filter=KeepAllFilter(), batch=32,
-                     max_combinations=200)
-    scalar.alternatives(spec)
-    batched.alternatives(spec)
-    assert scalar.combinations_costed == batched.combinations_costed > 0
+    engine.alternatives(spec)
+    oracle.alternatives(spec)
+    assert engine.combinations_costed == oracle.combinations_costed > 0
 
 
 # ---------------------------------------------------------------------------
@@ -176,18 +170,22 @@ def _compiled_node_kernel():
         for row in combos:
             mat.extend(row[slot].delay_values)
         matrices.append(mat)
-    return kernel, signature, matrices, combos
+    return kernel, signature, matrices, combos, program
 
 
 def test_run_batch_matches_per_row_run_stdlib_and_numpy(monkeypatch):
-    kernel, signature, matrices, combos = _compiled_node_kernel()
+    kernel, signature, matrices, combos, program = _compiled_node_kernel()
     keys, block = kernel.run_batch(matrices, len(combos))
-    per_row = [kernel.run([row[s].delay_values
-                           for s in range(len(signature))])
-               for row in combos]
-    for got, expected in zip(block, per_row):
-        assert list(zip(keys, got)) == list(expected.items()) \
-            or dict(zip(keys, got)) == dict(expected)
+    # Each row costed alone is the same row of the block...
+    width = [len(arcs) for arcs in signature]
+    for r, row in enumerate(combos):
+        alone = [mat[r * n:(r + 1) * n] for mat, n in zip(matrices, width)]
+        assert kernel.run_batch(alone, 1) == (keys, [block[r]])
+        # ...and the direct graph walker's delay matrix for that row.
+        by_spec = dict(zip(program.slot_keys, row))
+        assert dict(zip(keys, block[r])) == port_delay_matrix(
+            program.netlist,
+            lambda inst: by_spec[inst.spec].delay_matrix())
     if tp._np is not None:
         monkeypatch.setattr(tp, "_np", None)
         keys_py, block_py = kernel.run_batch(matrices, len(combos))
@@ -196,31 +194,12 @@ def test_run_batch_matches_per_row_run_stdlib_and_numpy(monkeypatch):
 
 
 def test_run_batch_chunked_block_is_identical(monkeypatch):
-    kernel, signature, matrices, combos = _compiled_node_kernel()
+    kernel, signature, matrices, combos, _ = _compiled_node_kernel()
     keys, whole = kernel.run_batch(matrices, len(combos))
     monkeypatch.setattr(tp, "_BATCH_ELEMENTS", 1)  # force chunk size 1
     keys_chunked, chunked = kernel.run_batch(matrices, len(combos))
     assert keys_chunked == keys
     assert chunked == whole
-
-
-def test_evaluate_matrices_memoizes_per_matrix_object():
-    space = _space(perf_filter=ParetoFilter())
-    spec = adder_spec(8)
-    space.alternatives(spec)
-    node = space.nodes[spec]
-    impl = next(i for i in node.impls if i.timing_program is not None)
-    program = impl.timing_program
-    distinct = list(dict.fromkeys(m.spec for m in impl.netlist.modules))
-    option_lists = [space.alternatives(sub) for sub in distinct]
-    matrices = [dict(options[0].delays) for options in option_lists]
-    first = program.evaluate_matrices(matrices)
-    memo = program.__dict__["_matrix_memo"]
-    assert all(id(m) in memo for m in matrices)
-    assert program.evaluate_matrices(matrices) == first
-    # the memo must not survive pickling (ids are process-local)
-    assert "_matrix_memo" not in pickle.loads(
-        pickle.dumps(program)).__dict__
 
 
 # ---------------------------------------------------------------------------

@@ -109,3 +109,29 @@ class TestNetlistEvaluation:
         one = space.configs(spec)
         assert any(abs(c.area - 2 * s.area) < 1e-6
                    for c in configs for s in one)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: a node evaluated while an ancestor of the same "
+    "family sits on the cycle guard memoizes a context-dependent "
+    "option list"))
+def test_node_memo_does_not_depend_on_evaluation_context():
+    """``configs`` memoizes one option list per spec, and the node store
+    persists it for other requests -- so the list must not depend on
+    what else was being evaluated when it was computed.  Today it does:
+    evaluated under COMPARATOR<64>, the cascaded COMPARATOR<32> node
+    runs while COMPARATOR<32>(ops=3) is on the ``_evaluating`` cycle
+    guard, loses the implementations that reach back into it, and
+    memoizes no options at all; evaluated alone it has one."""
+    from repro.api import Session
+    from repro.core.specs import comparator_spec
+
+    def space():
+        return Session("lsi_logic", perf_filter="pareto").space
+
+    in_context = space()
+    in_context.alternatives(comparator_spec(64))
+    cascaded = next(spec for spec in in_context.nodes
+                    if spec.ctype == "COMPARATOR" and spec.width == 32
+                    and spec.get("cascaded", False))
+    assert space().configs(cascaded) == in_context.configs(cascaded)

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from repro.core.configs import (
     Configuration,
-    combine_compatible,
+    enumerate_rows,
     make_configuration,
     merge_choices,
 )
@@ -54,6 +54,22 @@ class TestParetoFilter:
         configs = [_cfg(a, d) for a, d in raw]
         kept = ParetoFilter().select(configs)
         assert all(k in configs for k in kept)
+
+    @given(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                    min_size=32, max_size=64))
+    def test_block_sort_is_the_stable_sort(self, raw):
+        """``select`` sorts a whole node's block through the columnar
+        sort (numpy ``lexsort`` from 32 rows on); it must order ties
+        exactly like the stable ``sorted`` it replaces."""
+        from repro.core.filters import _sorted_block, pareto_frontier
+
+        spec = adder_spec(4)
+        configs = [_cfg(a, d, {spec: i}) for i, (a, d) in enumerate(raw)]
+        by_sort = sorted(configs, key=lambda c: (c.area, c.delay))
+        assert _sorted_block(configs) == by_sort
+        assert [id(c) for c in _sorted_block(configs)] == \
+            [id(c) for c in by_sort]
+        assert ParetoFilter().select(configs) == pareto_frontier(by_sort)
 
 
 class TestTradeoffFilter:
@@ -115,21 +131,22 @@ class TestConfigurations:
         spec = adder_spec(4)
         assert merge_choices([{spec: 1}, {spec: 2}]) is None
 
-    def test_combine_compatible_prunes(self):
+    def test_enumerate_rows_prunes(self):
         spec = adder_spec(4)
         option_a = [_cfg(1, 1, {spec: 0}), _cfg(2, 2, {spec: 1})]
         option_b = [_cfg(1, 1, {spec: 0}), _cfg(2, 2, {spec: 1})]
-        combos = combine_compatible([option_a, option_b])
+        rows = enumerate_rows([option_a, option_b])
         # Only the consistent diagonal survives: (0,0) and (1,1).
-        assert len(combos) == 2
-        for chosen, merged in combos:
+        assert len(rows) == 2
+        for chosen, items in rows:
             assert chosen[0].chosen_impl(spec) == chosen[1].chosen_impl(spec)
+            assert items == ((spec, chosen[0].chosen_impl(spec)),)
 
     def test_combine_independent_full_product(self):
         a_spec, m_spec = adder_spec(4), mux_spec(2, 4)
         option_a = [_cfg(1, 1, {a_spec: 0}), _cfg(2, 2, {a_spec: 1})]
         option_b = [_cfg(1, 1, {m_spec: 0}), _cfg(2, 2, {m_spec: 1})]
-        assert len(combine_compatible([option_a, option_b])) == 4
+        assert len(enumerate_rows([option_a, option_b])) == 4
 
     def test_describe(self):
         assert "gates" in _cfg(10, 5).describe()

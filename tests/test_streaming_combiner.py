@@ -1,11 +1,11 @@
-"""The streaming S1 combiner: conflict rejection, cap-bounded work,
-and order parity with the materializing cross product."""
+"""The S1 combiner (``enumerate_rows``): conflict rejection,
+cap-bounded work, own-choice conflicts, and order parity with the
+materializing cross product."""
 
 import pytest
 
 from repro.core.configs import (
-    combine_compatible,
-    iter_compatible,
+    enumerate_rows,
     make_configuration,
     prune_dominated_options,
 )
@@ -59,6 +59,13 @@ def _cfg(area, delay, choices=None):
     return make_configuration(area, {("A", "O"): delay}, choices or {})
 
 
+def _combos(option_lists, **kwargs):
+    """``enumerate_rows`` as (chosen configurations, merged choice map)
+    pairs, the shape of the reference cross product."""
+    return [(chosen, dict(items))
+            for chosen, items in enumerate_rows(option_lists, **kwargs)]
+
+
 def _reference_combine(option_lists):
     """The seed's materializing implementation, kept as the oracle."""
     from repro.core.configs import merge_choices
@@ -82,7 +89,7 @@ class TestConflictRejection:
     def test_same_spec_diagonal_only(self):
         spec = adder_spec(4)
         options = [_cfg(1, 1, {spec: 0}), _cfg(2, 2, {spec: 1})]
-        combos = list(iter_compatible([options, options]))
+        combos = _combos([options, options])
         assert len(combos) == 2
         for chosen, merged in combos:
             assert chosen[0].chosen_impl(spec) == chosen[1].chosen_impl(spec)
@@ -91,7 +98,7 @@ class TestConflictRejection:
         a_spec, m_spec = adder_spec(4), mux_spec(2, 4)
         option_a = [_cfg(1, 1, {a_spec: 0}), _cfg(2, 2, {a_spec: 1})]
         option_b = [_cfg(1, 1, {m_spec: 0}), _cfg(2, 2, {m_spec: 1})]
-        assert len(list(iter_compatible([option_a, option_b]))) == 4
+        assert len(enumerate_rows([option_a, option_b])) == 4
 
     def test_transitive_conflict_through_shared_leaf(self):
         """Two siblings that only clash through a deeper shared spec."""
@@ -99,18 +106,15 @@ class TestConflictRejection:
         left, right = adder_spec(4), mux_spec(2, 4)
         option_a = [_cfg(1, 1, {left: 0, leaf: 0}), _cfg(2, 2, {left: 0, leaf: 1})]
         option_b = [_cfg(1, 1, {right: 0, leaf: 1})]
-        # combine_compatible copies each merged map (the raw iterator
-        # reuses its dict between yields).
-        combos = combine_compatible([option_a, option_b])
+        combos = _combos([option_a, option_b])
         assert len(combos) == 1
         assert combos[0][1][leaf] == 1
 
     def test_empty_option_list_kills_product(self):
-        assert list(iter_compatible([[_cfg(1, 1)], []])) == []
+        assert enumerate_rows([[_cfg(1, 1)], []]) == []
 
     def test_no_lists_yields_empty_combo(self):
-        combos = list(iter_compatible([]))
-        assert combos == [((), {})]
+        assert _combos([]) == [((), {})]
 
 
 class TestOrderAndParity:
@@ -123,8 +127,7 @@ class TestOrderAndParity:
             [_cfg(5, 1, {c: 0}), _cfg(6, 2, {c: 1})],
         ]
         expected = _reference_combine(lists)
-        got = combine_compatible(lists)
-        assert [(ch, m) for ch, m in got] == expected
+        assert _combos(lists) == expected
 
     def test_cap_is_prefix_of_full_enumeration(self):
         a, b = adder_spec(4), mux_spec(2, 4)
@@ -132,8 +135,8 @@ class TestOrderAndParity:
             [_cfg(i, i, {a: i}) for i in range(4)],
             [_cfg(i, i, {b: i}) for i in range(4)],
         ]
-        full = combine_compatible(lists)
-        capped = combine_compatible(lists, limit=5)
+        full = _combos(lists)
+        capped = _combos(lists, limit=5)
         assert capped == full[:5]
 
     def test_cap_bounds_work_not_just_output(self):
@@ -143,19 +146,11 @@ class TestOrderAndParity:
         lists = [
             [_cfg(i, i, {spec: i}) for i in range(10)] for spec in specs
         ]  # 10^6 combos
-        seen = 0
-        for _ in iter_compatible(lists, limit=10):
-            seen += 1
-        assert seen == 10
-
-    def test_yielded_map_is_reused_but_wrapper_copies(self):
-        a = adder_spec(4)
-        lists = [[_cfg(0, 0, {a: 0}), _cfg(1, 1, {a: 1})]]
-        maps = [m for _, m in iter_compatible(lists)]
-        assert maps[0] is maps[1]  # documented reuse
-        copies = [m for _, m in combine_compatible(lists)]
-        assert copies[0] is not copies[1]
-        assert copies[0] == {a: 0} and copies[1] == {a: 1}
+        rows = enumerate_rows(lists, limit=10)
+        assert len(rows) == 10
+        assert [chosen for chosen, _ in rows] == [
+            tuple(lists[k][0] for k in range(5)) + (lists[5][i],)
+            for i in range(10)]
 
 
 class TestDominancePruning:
@@ -176,14 +171,14 @@ class TestDominancePruning:
         kept = prune_dominated_options([_cfg(1, 1, {a: 0}), _cfg(1, 1, {a: 0})])
         assert len(kept) == 2
 
-    def test_iter_compatible_prune_flag(self):
+    def test_enumerate_rows_prune_flag(self):
         a, b = adder_spec(4), mux_spec(2, 4)
         lists = [
             [_cfg(1, 1, {a: 0}), _cfg(5, 5, {a: 0})],  # second dominated
             [_cfg(1, 1, {b: 0})],
         ]
-        assert len(list(iter_compatible(lists))) == 2
-        assert len(list(iter_compatible(lists, prune_dominated=True))) == 1
+        assert len(enumerate_rows(lists)) == 2
+        assert len(enumerate_rows(lists, prune_dominated=True)) == 1
 
     def test_shared_footprint_prunes_private_choice_variants(self):
         """Options differing only in choices *private* to their list are
@@ -242,16 +237,16 @@ class TestEnumerationOrders:
 
     def test_lex_is_default_and_preserves_list_order(self):
         lists = self._lists()
-        default = combine_compatible(lists)
-        lex = combine_compatible(lists, order="lex")
+        default = _combos(lists)
+        lex = _combos(lists, order="lex")
         assert default == lex == _reference_combine(lists)
 
     def test_frontier_order_is_deterministic(self):
         from repro.core.configs import pareto_rank_order
 
         lists = self._lists()
-        first = combine_compatible(lists, order="frontier")
-        second = combine_compatible(lists, order="frontier")
+        first = _combos(lists, order="frontier")
+        second = _combos(lists, order="frontier")
         assert first == second
         # and matches the reference cross product over reordered lists
         reordered = [pareto_rank_order(options) for options in lists]
@@ -259,10 +254,9 @@ class TestEnumerationOrders:
 
     def test_frontier_order_same_combination_set_uncapped(self):
         lists = self._lists()
-        lex = {tuple(m.items()) for _, m in
-               iter_compatible(lists, order="lex")}
-        frontier = {tuple(m.items()) for _, m in
-                    iter_compatible(lists, order="frontier")}
+        lex = {items for _, items in enumerate_rows(lists, order="lex")}
+        frontier = {items for _, items in
+                    enumerate_rows(lists, order="frontier")}
         assert lex == frontier
 
     def test_frontier_rank_then_two_ended_sweep(self):
@@ -280,10 +274,10 @@ class TestEnumerationOrders:
 
     def test_capped_frontier_prefix_contains_both_corners(self):
         lists = self._lists()
-        capped = combine_compatible(lists, limit=3, order="frontier")
+        capped = _combos(lists, limit=3, order="frontier")
         areas = [sum(c.area for c in chosen) for chosen, _ in capped]
         delays = [max(c.delay for c in chosen) for chosen, _ in capped]
-        full = combine_compatible(lists)
+        full = _combos(lists)
         best_area = min(sum(c.area for c in chosen) for chosen, _ in full)
         best_delay = min(max(c.delay for c in chosen) for chosen, _ in full)
         assert min(areas) == best_area
@@ -291,12 +285,12 @@ class TestEnumerationOrders:
 
     def test_unknown_order_rejected(self):
         with pytest.raises(ValueError, match="unknown enumeration order"):
-            list(iter_compatible(self._lists(), order="zigzag"))
+            enumerate_rows(self._lists(), order="zigzag")
 
 
 class TestCapSemantics:
     def test_limit_hit_mid_stream_after_conflict_rejections(self):
-        """The cap counts *yielded* combinations; conflicting prefixes
+        """The cap counts *emitted* combinations; conflicting prefixes
         rejected along the way do not consume it."""
         shared = gate_spec("NAND")
         a, b = adder_spec(4), mux_spec(2, 4)
@@ -304,9 +298,9 @@ class TestCapSemantics:
             [_cfg(i, i, {a: i, shared: i % 2}) for i in range(4)],
             [_cfg(i, i, {b: i, shared: 0}) for i in range(3)],
         ]
-        full = combine_compatible(lists)
+        full = _combos(lists)
         assert 0 < len(full) < 12  # conflicts rejected some combos
-        capped = combine_compatible(lists, limit=3)
+        capped = _combos(lists, limit=3)
         assert capped == full[:3]
 
     def test_disjoint_sibling_fast_path_matches_checked_path(self):
@@ -318,15 +312,14 @@ class TestCapSemantics:
             [_cfg(3, 3, {b: 0})],
             [_cfg(4, 4, {c: 0}), _cfg(5, 5, {c: 1})],
         ]
-        assert combine_compatible(lists) == _reference_combine(lists)
+        assert _combos(lists) == _reference_combine(lists)
         # and the cap is an exact prefix on the fast path too
-        assert combine_compatible(lists, limit=2) == \
-            _reference_combine(lists)[:2]
+        assert _combos(lists, limit=2) == _reference_combine(lists)[:2]
 
     def test_deterministic_output_under_both_orders(self):
         lists = self._mixed_lists()
         for order in ("lex", "frontier"):
-            runs = [combine_compatible(lists, limit=4, order=order)
+            runs = [_combos(lists, limit=4, order=order)
                     for _ in range(3)]
             assert runs[0] == runs[1] == runs[2]
 
@@ -338,3 +331,22 @@ class TestCapSemantics:
              _cfg(2, 2, {a: 2, shared: 0})],
             [_cfg(1, 1, {b: 0, shared: 0}), _cfg(2, 2, {b: 1, shared: 1})],
         ]
+
+    def test_own_choice_conflicts_count_against_cap(self):
+        """A row whose children pin the caller's own spec to another
+        impl is an S1 conflict: it is emitted uncosted (``None``
+        items) and still consumes the cap."""
+        own = adder_spec(4)
+        b = mux_spec(2, 4)
+        lists = [
+            [_cfg(1, 1, {own: 1}), _cfg(2, 2, {own: 0})],
+            [_cfg(3, 3, {b: 0}), _cfg(4, 4, {b: 1})],
+        ]
+        rows = enumerate_rows(lists, own_choice={own: 0})
+        assert [items is None for _, items in rows] == [
+            True, True, False, False]
+        assert dict(rows[2][1]) == {own: 0, b: 0}
+        capped = enumerate_rows(lists, limit=2, own_choice={own: 0})
+        assert capped == rows[:2]  # both conflicts, nothing left to cost
+        # with no sibling lists the row is just the own entries
+        assert enumerate_rows([], own_choice={own: 0}) == [((), ((own, 0),))]

@@ -2,6 +2,8 @@
 bit-for-bit -- including sequential netlists with @clk virtual-pin
 arcs -- while rebuilding nothing between evaluations."""
 
+from array import array
+
 import pytest
 
 from repro.core.specs import adder_spec, gate_spec, make_spec, port_signature
@@ -10,11 +12,21 @@ from repro.netlist.ports import clock_port, in_port, out_port
 from repro.netlist.timing import CLK_PIN, TimingCycleError
 
 
+def evaluate(program, arcs_by_slot, values_by_slot):
+    """One row through the block evaluator, as a delay-matrix dict."""
+    keys, block = program.evaluate_batch(
+        arcs_by_slot, [array("d", values) for values in values_by_slot],
+        rows=1)
+    return dict(zip(keys, block[0]))
+
+
 def program_matrix(netlist, delays, slot_of=None):
     program = compile_timing(netlist, slot_of=slot_of)
-    return program.evaluate_matrices(
-        [delays(inst) for inst in _slot_representatives(program, netlist)]
-    )
+    items = [sorted(delays(inst).items())
+             for inst in _slot_representatives(program, netlist)]
+    return evaluate(program,
+                    tuple(tuple(k for k, _ in slot) for slot in items),
+                    [[v for _, v in slot] for slot in items])
 
 
 def _slot_representatives(program, netlist):
@@ -164,8 +176,8 @@ class TestProgramReuse:
         program = TimingProgram(netlist)
         keys = (("I0", "O"),)
         arcs = (keys,) * 4
-        first = program.evaluate(arcs, [(1.0,)] * 4)
-        second = program.evaluate(arcs, [(2.5,)] * 4)
+        first = evaluate(program, arcs, [(1.0,)] * 4)
+        second = evaluate(program, arcs, [(2.5,)] * 4)
         assert first[("A", "O")] == pytest.approx(4.0)
         assert second[("A", "O")] == pytest.approx(10.0)
         assert program.kernel_count == 1
@@ -177,8 +189,8 @@ class TestProgramReuse:
         full = (("A", "CO"), ("A", "S"), ("B", "CO"), ("B", "S"),
                 ("CI", "CO"), ("CI", "S"))
         sparse = (("A", "S"), ("B", "S"))
-        program.evaluate((full,), [(5.5, 5.0, 5.5, 5.0, 3.0, 4.0)])
-        program.evaluate((sparse,), [(5.0, 5.0)])
+        evaluate(program, (full,), [(5.5, 5.0, 5.5, 5.0, 3.0, 4.0)])
+        evaluate(program, (sparse,), [(5.0, 5.0)])
         assert program.kernel_count == 2
 
     def test_slot_sharing_by_spec(self):
