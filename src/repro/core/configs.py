@@ -26,7 +26,7 @@ process-wide.
 Combining sibling options is one pipeline: :func:`enumerate_rows`
 materializes the S1-consistent cross product as a block of rows, each
 carrying its merged choices in canonical order, and the design space
-costs the block through the compiled timing kernels and interns the
+costs each row through its compiled timing kernel and interns the
 results with :func:`make_configuration_parts`.  Enumeration stops at
 the combination cap, so the cap bounds the work performed, not just
 the length of the output.  Sibling specification sets are analysed up
@@ -51,7 +51,6 @@ from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -260,8 +259,8 @@ def make_configuration_parts(
 
     The evaluator builds its delay items pre-sorted (the kernel
     result layout is sorted once per arc signature), merges choice items
-    in sorted order, and knows the worst-delay scalar from the block's
-    value columns -- so the normalizing sorts and the ``__post_init__``
+    in sorted order, and knows the worst-delay scalar from the kernel's
+    result values -- so the normalizing sorts and the ``__post_init__``
     scan of :func:`make_configuration` would be pure overhead.  The
     caller owns canonicality: parts must equal what
     :func:`make_configuration` would produce for the same value.
@@ -269,25 +268,6 @@ def make_configuration_parts(
     return CONFIGURATIONS.intern_parts(
         area, delay_items, choice_items, Configuration, delay
     )
-
-
-def merge_choices(
-    parts: Iterable[Mapping[ComponentSpec, int]]
-) -> Optional[Dict[ComponentSpec, int]]:
-    """Merge choice maps from sibling modules.
-
-    Returns ``None`` when two parts pick different implementations for
-    the same specification -- the combination is rejected, enforcing S1.
-    """
-    merged: Dict[ComponentSpec, int] = {}
-    for part in parts:
-        for spec, impl in part.items():
-            existing = merged.get(spec)
-            if existing is None:
-                merged[spec] = impl
-            elif existing != impl:
-                return None
-    return merged
 
 
 def prune_dominated_options(

@@ -31,11 +31,13 @@ The evaluation inner loop is engineered for the paper's scale claim
   S1 cross product is enumerated as rows
   (:func:`~repro.core.configs.enumerate_rows`), so ``max_combinations``
   bounds the enumeration work itself and sibling specs that cannot
-  conflict skip choice-map checks entirely; the rows are costed in
-  blocks through the program's per-arc-signature kernels
-  (``run_batch``, numpy-accelerated when numpy imports, a stdlib sweep
-  otherwise); and the configurations are built from the presorted
-  parts (:func:`~repro.core.configs.make_configuration_parts`);
+  conflict skip choice-map checks entirely; each row is costed by its
+  arc signature's kernel, one pure-Python walk of a precomputed op
+  list (``_Kernel.run``); and the configurations are built from the
+  presorted parts (:func:`~repro.core.configs.make_configuration_parts`);
+- in a process with other threads alive, every decomposition node
+  starts by yielding the GIL, so a serve worker's store hits are not
+  starved by a miss running beside them;
 - rule applications, cell matchings, and compiled programs are pure
   functions of (rule, spec, library) and are cached process-wide, so
   repeated syntheses (benchmarks, serving, LOLA retargeting sweeps)
@@ -66,8 +68,6 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from array import array
-
 from repro.core.configs import (
     Configuration,
     enumerate_rows,
@@ -90,14 +90,6 @@ if False:  # typing only; avoids a circular import with repro.techlib
 class SynthesisError(Exception):
     """No implementation exists for a specification; the message names
     the leaf specifications that could not be implemented."""
-
-
-#: Rows per combination-costing block.  Big enough that the per-block
-#: numpy dispatch and layout costs amortize, small enough that per-slot
-#: weight matrices stay cache friendly; kernels additionally chunk
-#: internally so wide netlists cannot blow memory whatever the block
-#: size.
-_BLOCK_ROWS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -631,11 +623,20 @@ class DesignSpace:
 
         The combiner enforces ``max_combinations`` during enumeration
         and materializes the (capped) rows; the rows are grouped by arc
-        signature, each group's delay weights go through ``run_batch``
-        as flat matrices in blocks of :data:`_BLOCK_ROWS`, and the
-        configurations are rebuilt from the presorted parts.  Results
-        land back in enumeration order.
+        signature, each row's chosen delay values go through its
+        group's kernel (``_Kernel.run``), and the configurations are
+        rebuilt from the presorted parts.  Results land back in
+        enumeration order.
+
+        Each call is one decomposition node.  When other threads are
+        alive (a serve worker answering store hits beside this miss),
+        the call first yields the GIL with ``time.sleep(0)``, so a
+        waiting hit runs at the next node boundary rather than after
+        the interpreter's switch interval; a single-threaded caller
+        never pays for the yield.
         """
+        if threading.active_count() > 1:
+            time.sleep(0)
         phase_start = time.perf_counter()
         rows = enumerate_rows(
             option_lists,
@@ -649,7 +650,7 @@ class DesignSpace:
         # ids (hashing the nested string-tuple signatures per row is
         # measurable; hashing a tuple of small ints is not).  The same
         # per-slot pass precomputes id -> (delay values, area) so the
-        # chunk loops below never touch a property per row.
+        # costing loop below never touches a property per row.
         arc_ids: Dict[tuple, int] = {}
         slot_maps: List[Dict[int, int]] = []
         value_maps: List[Dict[int, tuple]] = []
@@ -685,36 +686,24 @@ class DesignSpace:
         module_slots = program.module_slots
         costed = 0
         for indices in groups.values():
-            signature = tuple(
-                c.arc_keys for c in rows[indices[0]][0])
-            kernel = program.kernel(signature)
+            kernel = program.kernel(
+                tuple(c.arc_keys for c in rows[indices[0]][0]))
+            keys, run = kernel.keys, kernel.run
             costed += len(indices)
-            for start in range(0, len(indices), _BLOCK_ROWS):
-                chunk = indices[start:start + _BLOCK_ROWS]
-                chosen_rows = [rows[index][0] for index in chunk]
-                matrices = []
-                for slot in range(len(signature)):
-                    buffer = array("d")
-                    extend = buffer.extend
-                    value_map = value_maps[slot]
-                    for chosen in chosen_rows:
-                        extend(value_map[id(chosen[slot])])
-                    matrices.append(buffer)
-                keys, block = kernel.run_batch(matrices, len(chunk))
-                for offset, index in enumerate(chunk):
-                    chosen = chosen_rows[offset]
-                    values = block[offset]
-                    # Same float addition sequence as
-                    # program.total_area's per-module walk.
-                    area = 0.0
-                    for slot in module_slots:
-                        area += area_maps[slot][id(chosen[slot])]
-                    results[index] = make_configuration_parts(
-                        area,
-                        tuple(zip(keys, values)),
-                        rows[index][1],
-                        max(values) if values else 0.0,
-                    )
+            for index in indices:
+                chosen, choice_items = rows[index]
+                values = run([value_maps[slot][id(config)]
+                              for slot, config in enumerate(chosen)])
+                # Areas add in instance order, one term per module.
+                area = 0.0
+                for slot in module_slots:
+                    area += area_maps[slot][id(chosen[slot])]
+                results[index] = make_configuration_parts(
+                    area,
+                    tuple(zip(keys, values)),
+                    choice_items,
+                    max(values) if values else 0.0,
+                )
         self.combinations_costed += costed
         self._phase_add("enumerate_cost", time.perf_counter() - phase_start)
         return [config for config in results if config is not None]

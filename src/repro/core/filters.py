@@ -20,11 +20,6 @@ from typing import List, Protocol, Sequence
 
 from repro.core.configs import Configuration
 
-try:  # optional: the block sort falls back to ``sorted`` without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in CI images
-    _np = None
-
 
 class PerformanceFilter(Protocol):
     """Protocol for search-control filters over configurations: the
@@ -37,17 +32,9 @@ class PerformanceFilter(Protocol):
 
 
 def _sorted_block(configs: Sequence[Configuration]) -> List[Configuration]:
-    """(area, delay)-sorted copy via one pass over the block's cost
-    columns: ``np.lexsort`` over the gathered (area, delay) arrays is
-    stable with the secondary key applied first, so the permutation is
-    bit-identical to ``sorted(key=(area, delay))`` -- ties in both
-    coordinates keep the original order in both implementations."""
-    if _np is None or len(configs) < 32:
-        return sorted(configs, key=lambda c: (c.area, c.delay))
-    areas = _np.array([c.area for c in configs])
-    delays = _np.array([c.delay for c in configs])
-    order = _np.lexsort((delays, areas))
-    return [configs[i] for i in order.tolist()]
+    """(area, delay)-sorted copy of a node's block of candidates; the
+    sort is stable, so ties in both coordinates keep their order."""
+    return sorted(configs, key=lambda c: (c.area, c.delay))
 
 
 def pareto_frontier(sorted_configs: Sequence[Configuration]) -> List[Configuration]:

@@ -18,12 +18,15 @@ A :class:`TimingProgram` splits the work by what actually varies:
 - **Compile once per arc signature**: the set of pin-to-pin arcs a
   combination contributes depends only on *which* delay-matrix keys its
   chosen implementations publish, not on the weights.  Combinations
-  overwhelmingly share a handful of key sets, so the internal arcs,
-  the topological order, and the flattened edge arrays are cached per
-  signature (a tuple of per-slot arc-key tuples).
-- **Per evaluation**: substitute the per-slot delay weights into the
-  flattened edge arrays and propagate arrival times -- no graph or
-  ordering work at all.
+  overwhelmingly share a handful of key sets, so the internal arcs and
+  the topological order are worked out once per signature (a tuple of
+  per-slot arc-key tuples) and kept as one op list: for each source,
+  its reachable edges as ``(u, v, slot, index)`` relaxations in
+  topological order.
+- **Per evaluation**: walk that op list once over a fresh list of
+  arrival times, reading each weight straight from the chosen
+  per-slot delay values -- no graph, ordering, or reachability work
+  at all.
 
 Instances are grouped into *slots* (by default one slot per instance;
 the design-space evaluator passes ``slot_of=lambda inst: inst.spec`` so
@@ -32,22 +35,18 @@ chosen for that specification, which is exactly search control S1).
 
 The program computes bit-identical results to ``port_delay_matrix``:
 arrival times are prefix sums along identical paths combined with
-``max``, both of which are order-independent in IEEE float arithmetic.
+``max``, which is order-independent in IEEE float arithmetic.  Wire
+edges and the per-key merges add ``0.0``, which leaves every arrival
+time unchanged (sums that start at ``+0.0`` are never ``-0.0``).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from operator import add as _add
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.netlist.nets import endpoint_masks
 from repro.netlist.netlist import ModuleInst, Netlist
-
-try:  # optional fast path only; the stdlib batch sweep is the contract
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in CI images
-    _np = None
 
 #: Virtual pin name standing for the clock edge inside a component.
 #: (Canonically re-exported by :mod:`repro.netlist.timing`.)
@@ -72,248 +71,90 @@ class TimingCycleError(Exception):
     """
 
 
-#: Soft bound on the (sources x nodes x rows) scratch a single batched
-#: propagation may allocate; ``run_batch`` chunks its rows so wide
-#: netlists cannot blow memory no matter what block size callers pick.
-_BATCH_ELEMENTS = 1 << 21
-
-
-class _BatchPlan:
-    """Per-kernel layout shared by every ``run_batch`` call.
-
-    Reachability of a (source, sink) pair is *structural*: every delay
-    weight is a finite float, so which pairs carry a value depends only
-    on the edge graph, never on the weights.  That lets the result keys
-    be fixed (and sorted) once per kernel, each with its contributor
-    (source row, node) pairs -- a batched run then fills a dense
-    (keys x rows) matrix instead of rebuilding a dict per combination.
-    """
-
-    __slots__ = ("keys", "contribs", "source_edges", "np_cache")
-
-    def __init__(self, keys, contribs, source_edges) -> None:
-        #: Sorted (source, sink) result keys -- exactly the keys of
-        #: ``port_delay_matrix`` for any weight set.
-        self.keys = keys
-        #: Parallel to ``keys``: tuple of (source row, node id) pairs
-        #: whose arrival times max-merge into that key.
-        self.contribs = contribs
-        #: Per source row, the edge indices reachable from that source
-        #: (the batched sweep skips the rest: they would only relax
-        #: ``-inf`` arrivals).
-        self.source_edges = source_edges
-        #: Lazily built numpy views of the edge arrays (None until the
-        #: numpy path first runs).
-        self.np_cache = None
+#: The weights of wire edges: their op ``slot`` is -1, which a row's
+#: per-slot weights tuple resolves to this entry appended at its end.
+_WIRE_WEIGHTS = (0.0,)
 
 
 class _Kernel:
-    """Everything evaluation needs for one arc signature: flattened
-    edges in topological order plus the sources and labeled sinks."""
+    """One arc signature's costing program, laid out at compile time.
 
-    __slots__ = (
-        "n_nodes", "edge_u", "edge_v", "edge_ref",
-        "sources", "labeled", "_plan",
-    )
+    Reachability of a (source, sink) pair is *structural*: every delay
+    weight is a finite float, so which pairs carry a value depends only
+    on the edge graph, never on the weights.  That fixes the result
+    keys (sorted) once per signature, and lets every source's
+    propagation be laid out ahead of time as relaxations over one flat
+    list of arrival times.  A kernel holds only tuples of numbers and
+    strings, so it pickles whole.
+    """
+
+    __slots__ = ("keys", "start", "ops", "out")
 
     def __init__(
         self,
-        n_nodes: int,
-        edge_u: List[int],
-        edge_v: List[int],
-        edge_ref: List[Tuple[int, int]],
+        edges: List[Tuple[int, int, int, int]],
         sources: List[Tuple[str, int]],
         labeled: List[Tuple[int, str]],
     ) -> None:
-        self.n_nodes = n_nodes
-        self.edge_u = edge_u
-        self.edge_v = edge_v
-        self.edge_ref = edge_ref
-        self.sources = sources
-        self.labeled = labeled
-        self._plan: Optional[_BatchPlan] = None
-
-    # -- pickling ------------------------------------------------------
-    def __getstate__(self):
-        """The batch plan stays process-local (it may hold numpy
-        arrays); shipped kernels rebuild it lazily on first batched
-        run, keeping programs picklable by construction."""
-        return {
-            name: getattr(self, name)
-            for name in self.__slots__ if name != "_plan"
-        }
-
-    def __setstate__(self, state) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-        self._plan = None
-
-    # -- batched evaluation --------------------------------------------
-    def _build_plan(self) -> _BatchPlan:
-        """Derive the structural result layout (see :class:`_BatchPlan`)
-        by propagating reachability once per source."""
-        edge_u, edge_v = self.edge_u, self.edge_v
-        contrib_map: Dict[Tuple[str, str], List[Tuple[int, int]]] = {}
-        source_edges: List[List[int]] = []
-        for row, (source_name, src) in enumerate(self.sources):
-            reach = [False] * self.n_nodes
-            reach[src] = True
-            edges: List[int] = []
-            for eid, (u, v) in enumerate(zip(edge_u, edge_v)):
-                if reach[u]:
-                    reach[v] = True
-                    edges.append(eid)
-            source_edges.append(edges)
-            for nid, label in self.labeled:
-                if nid != src and reach[nid]:
+        """``edges`` are (u, v, slot, index) over node ids in
+        topological order (slot -1 marks a wire edge); ``sources`` are
+        (name, node) pairs and ``labeled`` (node, sink name) pairs."""
+        start: List[float] = []
+        ops: List[Tuple[int, int, int, int]] = []
+        contrib_map: Dict[Tuple[str, str], List[int]] = {}
+        for source_name, src in sources:
+            position = {src: len(start)}
+            start.append(0.0)
+            for u, v, slot, index in edges:
+                pu = position.get(u)
+                if pu is None:
+                    continue  # would only relax a -inf arrival
+                pv = position.get(v)
+                if pv is None:
+                    pv = position[v] = len(start)
+                    start.append(_NEG_INF)
+                ops.append((pu, pv, slot, index))
+            for nid, label in labeled:
+                if nid != src and nid in position:
                     contrib_map.setdefault((source_name, label), []).append(
-                        (row, nid))
+                        position[nid])
         keys = tuple(sorted(contrib_map))
-        contribs = tuple(tuple(contrib_map[key]) for key in keys)
-        plan = _BatchPlan(keys, contribs, source_edges)
-        self._plan = plan  # benign race: equal plans, last write wins
-        return plan
+        out = len(start)
+        for k, key in enumerate(keys):
+            start.append(_NEG_INF)
+            ops.extend((pu, out + k, -1, 0) for pu in contrib_map[key])
+        #: Sorted (source, sink) result keys -- exactly the keys of
+        #: ``port_delay_matrix`` for any weight set.
+        self.keys: Tuple[Tuple[str, str], ...] = keys
+        #: Initial arrival times: one entry per (source, node the source
+        #: reaches), ``0.0`` at each source and ``-inf`` elsewhere,
+        #: followed by one ``-inf`` entry per result key.
+        self.start: Tuple[float, ...] = tuple(start)
+        #: (u, v, slot, index) relaxations over ``start``'s positions:
+        #: each source's reachable edges in topological order, then one
+        #: wire op (slot -1) per contributor of each key, which
+        #: max-merges that contributor's arrival into the key's entry.
+        self.ops: Tuple[Tuple[int, int, int, int], ...] = tuple(ops)
+        #: Position of the first key entry in ``start``.
+        self.out = out
 
-    def run_batch(
-        self, values: Sequence[Sequence[float]], rows: int
-    ) -> Tuple[Tuple[Tuple[str, str], ...], List[List[float]]]:
-        """Longest-path propagation for a whole block of weight rows.
+    def run(self, values_by_slot: Sequence[Sequence[float]]) -> Tuple[float, ...]:
+        """Longest-path propagation for one choice of per-slot weights.
 
-        ``values[s]`` is a flat row-major matrix (``array('d')`` /
-        memoryview / any indexable float sequence) of shape
-        ``rows x len(arc_keys of slot s)``.  Returns ``(keys, block)``:
-        ``keys`` are the sorted (source, sink) pairs reachable in the
-        kernel's graph -- the same for every row -- and ``block[r]``
-        lists row ``r``'s delays parallel to ``keys``.  Every row
-        propagates the same prefix sums along the same topological edge
-        list, merged with order-independent ``max``, so a row's result
-        does not depend on the block it is costed in.
+        ``values_by_slot[s]`` lists slot ``s``'s delay weights parallel
+        to its arc keys (a configuration's ``delay_values``).  Returns
+        the delays parallel to :attr:`keys`.  Arrival times are prefix
+        sums along the topological edge list merged with ``max`` (wire
+        edges add ``0.0``), exactly as
+        :func:`~repro.netlist.timing.port_delay_matrix` computes them.
         """
-        plan = self._plan
-        if plan is None:
-            plan = self._build_plan()
-        if rows <= 0:
-            return plan.keys, []
-        chunk = max(1, _BATCH_ELEMENTS
-                    // max(1, len(self.sources) * self.n_nodes))
-        if rows <= chunk:
-            if _np is not None:
-                return plan.keys, self._run_batch_np(plan, values, rows)
-            return plan.keys, self._run_batch_py(plan, values, rows)
-        arc_counts = [
-            len(mat) // rows if rows else 0 for mat in values
-        ]
-        block: List[List[float]] = []
-        for start in range(0, rows, chunk):
-            stop = min(rows, start + chunk)
-            part = [
-                mat[start * n:stop * n]
-                for mat, n in zip(values, arc_counts)
-            ]
-            if _np is not None:
-                block.extend(self._run_batch_np(plan, part, stop - start))
-            else:
-                block.extend(self._run_batch_py(plan, part, stop - start))
-        return plan.keys, block
-
-    def _run_batch_py(
-        self, plan: _BatchPlan, values: Sequence[Sequence[float]], rows: int
-    ) -> List[List[float]]:
-        """Stdlib batch sweep: one pass over the topological edge list
-        per source, with each edge relaxing all rows at once."""
-        neg = _NEG_INF
-        edge_u, edge_v, edge_ref = self.edge_u, self.edge_v, self.edge_ref
-        arc_counts = [len(mat) // rows for mat in values]
-        # Gather each edge's weight row once, shared by every source.
-        zero_row = [0.0] * rows
-        weight_rows: List[List[float]] = []
-        for slot, index in edge_ref:
-            if slot < 0:
-                weight_rows.append(zero_row)
-            else:
-                mat, n = values[slot], arc_counts[slot]
-                weight_rows.append([mat[r * n + index] for r in range(rows)])
-        n_keys = len(plan.keys)
-        block = [[neg] * n_keys for _ in range(rows)]
-        dist: List[Optional[List[float]]] = [None] * self.n_nodes
-        for row, (_, src) in enumerate(self.sources):
-            edges = plan.source_edges[row]
-            if not edges:
-                continue
-            touched = [src]
-            dist[src] = [0.0] * rows
-            for eid in edges:
-                u, v = edge_u[eid], edge_v[eid]
-                du = dist[u]
-                w = weight_rows[eid]
-                dv = dist[v]
-                if dv is None:
-                    touched.append(v)
-                    dist[v] = [a + b for a, b in zip(du, w)]
-                else:
-                    dist[v] = [
-                        t if t > b else b
-                        for t, b in zip(map(_add, du, w), dv)
-                    ]
-            for k, pairs in enumerate(plan.contribs):
-                for source_row, nid in pairs:
-                    if source_row != row:
-                        continue
-                    dn = dist[nid]
-                    for r in range(rows):
-                        value = dn[r]
-                        out = block[r]
-                        if value > out[k]:
-                            out[k] = value
-            for nid in touched:
-                dist[nid] = None
-        return block
-
-    def _run_batch_np(
-        self, plan: _BatchPlan, values: Sequence[Sequence[float]], rows: int
-    ) -> List[List[float]]:
-        """Numpy fast path: identical arithmetic to the stdlib sweep
-        (elementwise add and max over float64 match it bit for bit;
-        ``-inf + w`` stays ``-inf``, standing in for its reachability
-        guard)."""
-        cache = plan.np_cache
-        if cache is None:
-            n_edges = len(self.edge_u)
-            slot_gather: List[Tuple[int, object, object]] = []
-            by_slot: Dict[int, List[Tuple[int, int]]] = {}
-            for eid, (slot, index) in enumerate(self.edge_ref):
-                if slot >= 0:
-                    by_slot.setdefault(slot, []).append((eid, index))
-            for slot, pairs in by_slot.items():
-                eids = _np.array([p[0] for p in pairs], dtype=_np.intp)
-                cols = _np.array([p[1] for p in pairs], dtype=_np.intp)
-                slot_gather.append((slot, eids, cols))
-            src_rows = _np.array([src for _, src in self.sources],
-                                 dtype=_np.intp)
-            gathers = tuple(
-                (_np.array([c[0] for c in pairs], dtype=_np.intp),
-                 _np.array([c[1] for c in pairs], dtype=_np.intp))
-                for pairs in plan.contribs
-            )
-            cache = plan.np_cache = (n_edges, tuple(slot_gather), src_rows,
-                                     gathers)
-        n_edges, slot_gather, src_rows, gathers = cache
-        arc_counts = [len(mat) // rows for mat in values]
-        weights = _np.zeros((n_edges, rows))
-        for slot, eids, cols in slot_gather:
-            mat = _np.frombuffer(values[slot], dtype=_np.float64)
-            weights[eids] = mat.reshape(rows, arc_counts[slot])[:, cols].T
-        n_sources = len(self.sources)
-        dist = _np.full((n_sources, self.n_nodes, rows), _NEG_INF)
-        dist[_np.arange(n_sources), src_rows] = 0.0
-        maximum, add = _np.maximum, _np.add
-        for u, v, w in zip(self.edge_u, self.edge_v, weights):
-            dv = dist[:, v]
-            maximum(add(dist[:, u], w), dv, out=dv)
-        out = _np.empty((len(plan.keys), rows))
-        for k, (rows_idx, nids) in enumerate(gathers):
-            out[k] = dist[rows_idx, nids].max(axis=0)
-        return out.T.tolist()
+        weights = [*values_by_slot, _WIRE_WEIGHTS]
+        d = list(self.start)
+        for u, v, slot, index in self.ops:
+            x = d[u] + weights[slot][index]
+            if x > d[v]:
+                d[v] = x
+        return tuple(d[self.out:])
 
 
 class TimingProgram:
@@ -435,14 +276,6 @@ class TimingProgram:
         """Number of distinct arc signatures compiled so far."""
         return len(self._kernels)
 
-    def total_area(self, areas_by_slot: Sequence[float]) -> float:
-        """Sum of per-instance areas, in instance order (so the float
-        addition sequence matches a direct per-module walk)."""
-        total = 0
-        for slot in self.module_slots:
-            total += areas_by_slot[slot]
-        return total
-
     # ------------------------------------------------------------------
     def _compile_kernel(self, signature: Tuple[ArcKeys, ...]) -> _Kernel:
         node = self._node
@@ -489,10 +322,7 @@ class TimingProgram:
                 f"combinational cycle through: {', '.join(cyclic)}"
             )
 
-        ordered = sorted(range(len(edges)), key=lambda eid: topo_pos[edges[eid][0]])
-        edge_u = [edges[eid][0] for eid in ordered]
-        edge_v = [edges[eid][1] for eid in ordered]
-        edge_ref = [(edges[eid][2], edges[eid][3]) for eid in ordered]
+        edges.sort(key=lambda edge: topo_pos[edge[0]])
 
         sources = list(self._port_sources)
         sources.extend((CLK_PIN, nid) for nid in clk_source_ids)
@@ -501,7 +331,7 @@ class TimingProgram:
             entry = self._nodes[nid]
             if entry[0] == "pin" and entry[2] == "@clk:in":
                 labeled.append((nid, CLK_PIN))
-        return _Kernel(n, edge_u, edge_v, edge_ref, sources, labeled)
+        return _Kernel(edges, sources, labeled)
 
     # ------------------------------------------------------------------
     def kernel(self, arc_keys_by_slot: Tuple[ArcKeys, ...]) -> _Kernel:
@@ -512,23 +342,18 @@ class TimingProgram:
             self._kernels[arc_keys_by_slot] = kernel
         return kernel
 
-    def evaluate_batch(
+    def evaluate(
         self,
         arc_keys_by_slot: Tuple[ArcKeys, ...],
         values_by_slot: Sequence[Sequence[float]],
-        rows: int,
-    ) -> Tuple[Tuple[Tuple[str, str], ...], List[List[float]]]:
-        """Delay matrices of the netlist for a block of ``rows`` choices
-        of per-slot delay matrices.
-
-        ``arc_keys_by_slot[s]`` lists slot ``s``'s (input, output) arc
-        pairs; ``values_by_slot[s]`` is a flat row-major
-        ``rows x len(arc_keys_by_slot[s])`` matrix of their weights.
-        The result is ``(sorted (source, sink) keys, per-row value
-        lists)``; row ``r`` zipped with the keys is exactly what
-        :func:`repro.netlist.timing.port_delay_matrix` computes for
-        that row's weights -- see :meth:`_Kernel.run_batch`."""
-        return self.kernel(arc_keys_by_slot).run_batch(values_by_slot, rows)
+    ) -> Dict[Tuple[str, str], float]:
+        """The netlist's delay matrix for one choice of per-slot delay
+        matrices: ``arc_keys_by_slot[s]`` lists slot ``s``'s (input,
+        output) arc pairs and ``values_by_slot[s]`` their weights.  The
+        result equals what :func:`repro.netlist.timing.port_delay_matrix`
+        computes for the same weights -- see :meth:`_Kernel.run`."""
+        kernel = self.kernel(arc_keys_by_slot)
+        return dict(zip(kernel.keys, kernel.run(values_by_slot)))
 
 
 def compile_timing(

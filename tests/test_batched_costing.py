@@ -4,9 +4,9 @@ same survivor configurations (same *objects*, via interning), same
 order, same emitter output -- across filters, enumeration orders,
 worker counts/backends, and perturbed delay books.
 
-Also covers the kernel-level ``run_batch`` contract (stdlib vs numpy vs
-per-row, chunked blocks, agreement with the direct timing walker) and
-the pickling invariants the block path leans on (canonical interned
+Also covers the per-row timing kernel (agreement with the direct
+timing walker on every costed row, pickle round trips) and the
+pickling invariants the costing path leans on (canonical interned
 specs, ``ChoiceTuple`` degrading to a plain tuple).
 """
 
@@ -20,7 +20,7 @@ import re
 import pytest
 
 from repro.api import Session
-from repro.core.configs import ChoiceTuple, make_configuration
+from repro.core.configs import ChoiceTuple, enumerate_rows, make_configuration
 from repro.core.design_space import DesignSpace
 from repro.core.filters import (
     KeepAllFilter,
@@ -30,9 +30,14 @@ from repro.core.filters import (
 )
 from repro.core.library_rules import lsi_rules
 from repro.core.rulebase import standard_rulebase
-from repro.core.specs import adder_spec, alu_spec, comparator_spec, make_spec
-from repro.netlist import timing_program as tp
-from repro.netlist.timing import port_delay_matrix
+from repro.core.specs import (
+    adder_spec,
+    alu_spec,
+    comparator_spec,
+    counter_spec,
+    make_spec,
+)
+from repro.netlist.timing import CLK_PIN, port_delay_matrix
 from repro.techlib import lsi_logic_library
 from repro.techlib.cells import CellLibrary
 
@@ -140,66 +145,59 @@ def test_combinations_costed_counter_matches_scalar():
 
 
 # ---------------------------------------------------------------------------
-# kernel-level run_batch
+# the per-row kernel
 # ---------------------------------------------------------------------------
 
-def _compiled_node_kernel():
-    """One real compiled kernel plus a block of its live weight rows,
-    pulled from an evaluated node of the adder space."""
-    from array import array
-
+def _kernel_rows(spec, per_program=8):
+    """(program, kernel, chosen configurations) for up to
+    ``per_program`` S1 rows of every compiled decomposition in
+    ``spec``'s evaluated design space -- the kernels and weights the
+    engine itself costs."""
     space = _space(perf_filter=KeepAllFilter(), max_combinations=200)
-    spec = adder_spec(8)
     space.alternatives(spec)
-    node = space.nodes[spec]
-    impl = next(i for i in node.impls if i.timing_program is not None)
-    program = impl.timing_program
-    # One slot per *distinct* module spec -- the same slotting
-    # _decomp_configs evaluates with (instances of one spec share).
-    distinct = list(dict.fromkeys(m.spec for m in impl.netlist.modules))
-    option_lists = [space.alternatives(sub) for sub in distinct]
-    combos = []
-    for first in option_lists[0][:4]:
-        row = [first] + [options[0] for options in option_lists[1:]]
-        combos.append(row)
-    signature = tuple(c.arc_keys for c in combos[0])
-    kernel = program.kernel(signature)
-    matrices = []
-    for slot in range(len(signature)):
-        mat = array("d")
-        for row in combos:
-            mat.extend(row[slot].delay_values)
-        matrices.append(mat)
-    return kernel, signature, matrices, combos, program
+    for node in list(space.nodes.values()):
+        for impl in node.impls:
+            program = impl.timing_program
+            if program is None:
+                continue
+            # One slot per *distinct* module spec, in first-seen order --
+            # the slotting _decomp_configs evaluates with.
+            option_lists = [space.configs(sub) for sub in program.slot_keys]
+            for chosen, _ in enumerate_rows(option_lists, limit=per_program):
+                kernel = program.kernel(tuple(c.arc_keys for c in chosen))
+                yield program, kernel, chosen
 
 
-def test_run_batch_matches_per_row_run_stdlib_and_numpy(monkeypatch):
-    kernel, signature, matrices, combos, program = _compiled_node_kernel()
-    keys, block = kernel.run_batch(matrices, len(combos))
-    # Each row costed alone is the same row of the block...
-    width = [len(arcs) for arcs in signature]
-    for r, row in enumerate(combos):
-        alone = [mat[r * n:(r + 1) * n] for mat, n in zip(matrices, width)]
-        assert kernel.run_batch(alone, 1) == (keys, [block[r]])
-        # ...and the direct graph walker's delay matrix for that row.
-        by_spec = dict(zip(program.slot_keys, row))
-        assert dict(zip(keys, block[r])) == port_delay_matrix(
-            program.netlist,
-            lambda inst: by_spec[inst.spec].delay_matrix())
-    if tp._np is not None:
-        monkeypatch.setattr(tp, "_np", None)
-        keys_py, block_py = kernel.run_batch(matrices, len(combos))
-        assert keys_py == keys
-        assert block_py == block  # bit-identical, not approximately
+def test_kernel_run_matches_port_delay_matrix():
+    """Every row the kernel costs equals the direct graph walker's delay
+    matrix, bit for bit -- across every decomposition of a
+    combinational and a sequential space (split ``@clk`` sources)."""
+    rows = clk_rows = 0
+    for spec in (adder_spec(8), counter_spec(8)):
+        for program, kernel, chosen in _kernel_rows(spec):
+            values = kernel.run([c.delay_values for c in chosen])
+            by_spec = dict(zip(program.slot_keys, chosen))
+            assert dict(zip(kernel.keys, values)) == port_delay_matrix(
+                program.netlist,
+                lambda inst: by_spec[inst.spec].delay_matrix())
+            rows += 1
+            clk_rows += any(source == CLK_PIN for source, _ in kernel.keys)
+    assert rows > 500 and clk_rows > 0
 
 
-def test_run_batch_chunked_block_is_identical(monkeypatch):
-    kernel, signature, matrices, combos, _ = _compiled_node_kernel()
-    keys, whole = kernel.run_batch(matrices, len(combos))
-    monkeypatch.setattr(tp, "_BATCH_ELEMENTS", 1)  # force chunk size 1
-    keys_chunked, chunked = kernel.run_batch(matrices, len(combos))
-    assert keys_chunked == keys
-    assert chunked == whole
+def test_kernel_pickle_round_trip_costs_identically():
+    """A kernel pickles whole, op lists included (what a process or
+    remote worker receives), and the copy costs every row exactly like
+    the original."""
+    shipped = 0
+    for _, kernel, chosen in _kernel_rows(counter_spec(8), per_program=2):
+        clone = pickle.loads(pickle.dumps(kernel))
+        assert (clone.keys, clone.start, clone.ops) == \
+            (kernel.keys, kernel.start, kernel.ops)
+        values = [c.delay_values for c in chosen]
+        assert clone.run(values) == kernel.run(values)
+        shipped += 1
+    assert shipped > 100
 
 
 # ---------------------------------------------------------------------------

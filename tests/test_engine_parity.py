@@ -19,12 +19,27 @@ from itertools import islice
 import pytest
 
 from repro.api import Session
-from repro.core.configs import make_configuration, merge_choices, resolve_order
+from repro.core.configs import make_configuration, resolve_order
 from repro.core.design_space import DesignSpace
 from repro.core.filters import ParetoFilter, TopKFilter, TradeoffFilter
 from repro.core.specs import adder_spec, alu_spec, comparator_spec, counter_spec
 from repro.netlist.timing import port_delay_matrix
 from repro.techlib import lsi_logic_library
+
+
+def merge_choices(parts):
+    """Merge choice maps from sibling modules; ``None`` when two parts
+    pick different implementations for the same specification -- the
+    combination is rejected, enforcing S1."""
+    merged = {}
+    for part in parts:
+        for spec, impl in part.items():
+            existing = merged.get(spec)
+            if existing is None:
+                merged[spec] = impl
+            elif existing != impl:
+                return None
+    return merged
 
 
 def _reference_combine(option_lists, limit=None):
@@ -94,9 +109,9 @@ class ReferenceSpace(DesignSpace):
         return results
 
     def _select(self, candidates):
-        # The seed's plain stable sort first: the filter's own columnar
-        # sort then sees an ordered block, so the oracle's survivors do
-        # not rest on it.
+        # The seed's plain stable sort first: the filter's own sort
+        # then sees an ordered block, so the oracle's survivors do not
+        # rest on it.
         return self.perf_filter.select(
             sorted(candidates, key=lambda c: (c.area, c.delay)))
 

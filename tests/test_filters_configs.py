@@ -4,14 +4,11 @@ configuration consistency (S1)."""
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.configs import (
-    Configuration,
-    enumerate_rows,
-    make_configuration,
-    merge_choices,
-)
+from repro.core.configs import Configuration, enumerate_rows, make_configuration
 from repro.core.filters import KeepAllFilter, ParetoFilter, TopKFilter, TradeoffFilter
 from repro.core.specs import adder_spec, mux_spec
+
+from test_engine_parity import merge_choices
 
 
 def _cfg(area, delay, choices=None):
@@ -58,9 +55,8 @@ class TestParetoFilter:
     @given(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)),
                     min_size=32, max_size=64))
     def test_block_sort_is_the_stable_sort(self, raw):
-        """``select`` sorts a whole node's block through the columnar
-        sort (numpy ``lexsort`` from 32 rows on); it must order ties
-        exactly like the stable ``sorted`` it replaces."""
+        """``select`` sorts a whole node's block with one stable sort:
+        ties in both coordinates keep their input order."""
         from repro.core.filters import _sorted_block, pareto_frontier
 
         spec = adder_spec(4)

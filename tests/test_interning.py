@@ -10,7 +10,6 @@ backend (and any future remote worker) can ship them.
 
 import gc
 import pickle
-from array import array
 
 from repro.core.configs import Configuration, make_configuration
 from repro.core.interning import CONFIGURATIONS, intern_configuration, intern_stats
@@ -136,10 +135,9 @@ class TestPickleRoundTrips:
         assert clone.kernel_count == program.kernel_count
         arcs = tuple((("A", "S"), ("B", "S"))
                      for _ in program.slot_keys)
-        values = [array("d", (1.0 + slot * 0.5,) * 2)
+        values = [(1.0 + slot * 0.5,) * 2
                   for slot in range(len(program.slot_keys))]
-        assert clone.evaluate_batch(arcs, values, rows=1) == \
-            program.evaluate_batch(arcs, values, rows=1)
+        assert clone.evaluate(arcs, values) == program.evaluate(arcs, values)
 
     def test_timing_program_round_trip_standalone(self):
         from repro.netlist import Netlist
@@ -157,8 +155,8 @@ class TestPickleRoundTrips:
         netlist.add_module("u1", gate, port_signature(gate),
                            {"I0": mid.ref(), "O": y.ref()})
         program = compile_timing(netlist, slot_of=lambda inst: inst.spec)
-        arcs, values = ((("I0", "O"),),), [array("d", (2.0,))]
-        expected = program.evaluate_batch(arcs, values, rows=1)
+        arcs, values = ((("I0", "O"),),), [(2.0,)]
+        expected = program.evaluate(arcs, values)
         clone = pickle.loads(pickle.dumps(program))
-        assert clone.evaluate_batch(arcs, values, rows=1) == expected
-        assert expected == ((("A", "Y"),), [[4.0]])
+        assert clone.evaluate(arcs, values) == expected
+        assert expected == {("A", "Y"): 4.0}

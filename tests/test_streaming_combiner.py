@@ -12,6 +12,8 @@ from repro.core.configs import (
 from repro.core.specs import adder_spec, gate_spec, mux_spec
 import pickle
 
+from test_engine_parity import merge_choices
+
 
 def test_spec_and_config_pickles_drop_process_local_caches():
     """Cached hashes embed the per-process string-hash seed; pickles
@@ -68,8 +70,6 @@ def _combos(option_lists, **kwargs):
 
 def _reference_combine(option_lists):
     """The seed's materializing implementation, kept as the oracle."""
-    from repro.core.configs import merge_choices
-
     results = [((), {})]
     for options in option_lists:
         extended = []

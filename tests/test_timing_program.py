@@ -2,8 +2,6 @@
 bit-for-bit -- including sequential netlists with @clk virtual-pin
 arcs -- while rebuilding nothing between evaluations."""
 
-from array import array
-
 import pytest
 
 from repro.core.specs import adder_spec, gate_spec, make_spec, port_signature
@@ -13,11 +11,9 @@ from repro.netlist.timing import CLK_PIN, TimingCycleError
 
 
 def evaluate(program, arcs_by_slot, values_by_slot):
-    """One row through the block evaluator, as a delay-matrix dict."""
-    keys, block = program.evaluate_batch(
-        arcs_by_slot, [array("d", values) for values in values_by_slot],
-        rows=1)
-    return dict(zip(keys, block[0]))
+    """One choice of per-slot weights through the compiled kernel, as a
+    delay-matrix dict."""
+    return program.evaluate(arcs_by_slot, [tuple(v) for v in values_by_slot])
 
 
 def program_matrix(netlist, delays, slot_of=None):
@@ -203,6 +199,28 @@ class TestProgramReuse:
         assert by_spec[("A", "CO")] == pytest.approx(14.5)
 
     def test_total_area_matches_instance_walk(self):
-        netlist, _ = _ripple16()
-        program = TimingProgram(netlist, slot_of=lambda inst: inst.spec)
-        assert program.total_area([102.5]) == pytest.approx(4 * 102.5)
+        """The engine adds a combination's area once per module
+        instance, in instance order: bit-identical to the oracle's
+        per-instance walk, also where instances share a spec slot."""
+        from repro.core.design_space import DesignSpace
+        from repro.core.filters import KeepAllFilter
+        from repro.core.library_rules import lsi_rules
+        from repro.core.rulebase import standard_rulebase
+        from repro.techlib import lsi_logic_library
+        from test_engine_parity import ReferenceSpace
+
+        def space(cls):
+            rulebase = standard_rulebase()
+            rulebase.extend(lsi_rules())
+            return cls(rulebase, lsi_logic_library(), KeepAllFilter(),
+                       max_combinations=100)
+
+        spec = adder_spec(8)
+        engine, oracle = space(DesignSpace), space(ReferenceSpace)
+        got = engine.alternatives(spec)
+        want = oracle.alternatives(spec)
+        assert [c.area for c in got] == [c.area for c in want]
+        assert any(
+            len(impl.netlist.modules)
+            > len({m.spec for m in impl.netlist.modules})
+            for impl in engine.nodes[spec].impls if impl.kind == "decomp")
